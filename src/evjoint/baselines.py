@@ -3,7 +3,6 @@ their sequential combination."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,35 +34,46 @@ class BafConfig:
             raise ValueError("min_support must be at least 1")
 
 
+def _squeeze(coord: np.ndarray, radius: int) -> np.ndarray:
+    # pixels floor(coord) renumbered from `radius` up, each gap wider than
+    # `radius` cut to radius + 1 (exact via uint64): neighbours stay neighbours
+    px, inv = np.unique(np.floor(coord).astype(np.int64), return_inverse=True)
+    steps = np.minimum(np.diff(px.view(np.uint64)), radius + 1).astype(np.int64)
+    return np.concatenate(([radius], radius + np.cumsum(steps)))[inv]
+
+
 def baf_filter(window: EventWindow, cfg: BafConfig) -> np.ndarray:
     """Label each event signal iff enough other events fall in its neighborhood.
 
-    Exact bidirectional count via per-pixel sorted time lists and binary
-    search: O(N * neighborhood * log K).
+    Event j supports event k when j != k, their pixels floor(x), floor(y)
+    differ by at most ``radius`` on each axis, and
+    ``t_k - dt_max <= t_j <= t_k + dt_max`` with both bounds rounded to
+    float64. The count is exact, ties included. Each event gets one integer
+    key, its pixel id times (N + 1) plus its time rank; after one sort, two
+    binary searches per neighbour pixel count that pixel's events in the time
+    interval: O(N log N) for a fixed radius.
     """
-    n = len(window)
-    labels = np.zeros(n, dtype=bool)
-    if n == 0:
-        return labels
+    n, r = len(window), cfg.radius
     ev = window.events
-    px = np.floor(ev.x).astype(np.int64)
-    py = np.floor(ev.y).astype(np.int64)
-    per_pixel: dict[tuple[int, int], list[float]] = {}
-    for k in range(n):
-        per_pixel.setdefault((int(px[k]), int(py[k])), []).append(float(ev.t[k]))
-    r = cfg.radius
-    for k in range(n):
-        t = float(ev.t[k])
-        lo, hi = t - cfg.dt_max, t + cfg.dt_max
-        count = -1  # discount the event itself
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                times = per_pixel.get((int(px[k]) + dx, int(py[k]) + dy))
-                if times:
-                    count += bisect_right(times, hi) - bisect_left(times, lo)
-            if count >= cfg.min_support:
-                break
-        labels[k] = count >= cfg.min_support
+    t = ev.t  # window events are time-sorted
+    cx, cy = _squeeze(ev.x, r), _squeeze(ev.y, r)
+    width = int(cx.max(initial=0)) + r + 1
+    if (int(cy.max(initial=0)) + r + 1) * width * (n + 1) >= 2**63:
+        raise ValueError("window too large for the BAF filter's int64 keys")
+    pixel = cy * width + cx
+    key = pixel * (n + 1) + np.searchsorted(t, t, side="left")
+    # work in key order: consecutive queries then search nearby keys
+    order = np.argsort(key)
+    keys, pixel, tk = key[order], pixel[order], t[order]
+    lo = np.searchsorted(t, tk - cfg.dt_max, side="left")
+    hi = np.searchsorted(t, tk + cfg.dt_max, side="right")
+    count = np.full(n, -1)  # discount the event itself
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            base = (pixel + (dy * width + dx)) * (n + 1)
+            count += np.searchsorted(keys, base + hi) - np.searchsorted(keys, base + lo)
+    labels = np.empty(n, dtype=bool)
+    labels[order] = count >= cfg.min_support
     return labels
 
 
@@ -90,15 +100,4 @@ def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig,
     )
     theta = cmax_solve(kept_window, model, cmax_cfg)
     kept_mask = hard_map(kept_window.positions, window.geometry).values > 0
-    conf = ConfidenceMap.from_weights_mask(kept_mask)
-    return JointResult(
-        theta=theta,
-        conf=conf,
-        labels=keep,
-        trace=[],
-        warm_trace=[],
-        final=None,
-        b_ea=float("nan"),
-        b_ed=float("nan"),
-        alpha=float("nan"),
-    )
+    return JointResult(theta, ConfidenceMap.from_weights_mask(kept_mask), keep)

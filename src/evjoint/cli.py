@@ -24,7 +24,6 @@ from .events import (
     EventWindow,
     FixedCount,
     FixedDuration,
-    FormatError,
     SensorGeometry,
     read_events,
     window_stream,
@@ -34,6 +33,7 @@ from .joint import (
     ExplicitBaseline,
     JointConfig,
     JointResult,
+    NonFiniteObjective,
     WarmStartScaled,
     interpolate_confidence,
     solve,
@@ -209,7 +209,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         window, labels, theta_gt = generate(spec, args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    write_events(window.events, args.output, labels=labels, geometry=geometry, fmt="binary")
+    write_events(window.events, args.output, labels=labels, geometry=geometry)
     _sidecar(args.output, "synth", args, {
         "theta_gt": theta_gt.values.tolist(),
         "pattern_velocity": [vx, vy],
@@ -236,14 +236,9 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                 res = solve(w, cfg, seed=args.seed, model=args.model)
             elif args.method == "baf":
                 keep = baf_filter(w, baf_cfg)
-                res = JointResult(
-                    theta=MotionParams.zero(args.model),
-                    conf=ConfidenceMap.from_weights_mask(
-                        hard_map(w.positions[keep], geometry).values > 0
-                    ),
-                    labels=keep, trace=[], warm_trace=[], final=None,
-                    b_ea=float("nan"), b_ed=float("nan"), alpha=float("nan"),
-                )
+                kept_mask = hard_map(w.positions[keep], geometry).values > 0
+                res = JointResult(MotionParams.zero(args.model),
+                                  ConfidenceMap.from_weights_mask(kept_mask), keep)
             else:  # cmax-seq
                 res = sequential_pipeline(w, baf_cfg, cfg, model=args.model)
         labels_out.append(res.labels)
@@ -254,7 +249,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         logger.info("window %d: %d/%d kept, theta=%s", i, int(res.labels.sum()),
                     len(w), np.round(res.theta.values, 3).tolist())
     labels = np.concatenate(labels_out) if labels_out else np.zeros(0, dtype=bool)
-    write_events(events, args.output, labels=labels, geometry=geometry, fmt="binary")
+    write_events(events, args.output, labels=labels, geometry=geometry)
     _sidecar(args.output, "denoise", args, {
         "windows": records,
         "counts": {"events": len(events), "signal_pred": int(labels.sum())},
@@ -483,10 +478,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (CliError, FormatError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"evjoint: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (CliError, ValueError, NonFiniteObjective, FileNotFoundError, PermissionError,
+            IsADirectoryError) as exc:
         print(f"evjoint: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass, field
+from itertools import dropwhile, filterfalse
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -84,14 +86,6 @@ class Events:
     @classmethod
     def empty(cls) -> "Events":
         return cls([], [], [], [], validate=False)
-
-    @classmethod
-    def from_records(cls, records) -> "Events":
-        recs = list(records)
-        if not recs:
-            return cls.empty()
-        x, y, t, p = zip(*((r.x, r.y, r.t, r.p) for r in recs))
-        return cls(x, y, t, p)
 
     @classmethod
     def concatenate(cls, streams) -> "Events":
@@ -202,54 +196,70 @@ def detect_format(path) -> str:
     return "binary" if head == BINARY_MAGIC else "csv"
 
 
-def _parse_csv(path) -> LoadedStream:
-    xs: list[float] = []
-    ys: list[float] = []
-    ts: list[float] = []
-    ps: list[int] = []
-    labels: list[int] = []
-    ncols = None
+def _is_header(line: str) -> bool:
+    # lines before the first data line whose first field is not a number
+    try:
+        float(line.split(",", 1)[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _value_fault(rows: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first parsed CSV row whose values break a rule."""
+    x, y, t, p = rows[:, :4].T
+    lab = rows[:, 4] if rows.shape[1] == 5 else np.zeros(len(rows))
+    rules = [
+        ((p != 1) & (p != -1), lambda i: f"polarity must be -1 or 1, got {p[i]:g}"),
+        (~(np.isfinite(t) & (t >= 0.0)), lambda i: f"bad timestamp {float(t[i])!r}"),
+        (~(np.isfinite(x) & np.isfinite(y)), lambda i: "non-finite coordinates"),
+        ((lab != 0) & (lab != 1), lambda i: f"label must be 0 or 1, got {lab[i]:g}"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    i = int(np.argmax(bad))
+    return (i, next(reason(i) for mask, reason in rules if mask[i])) if bad.any() else None
+
+
+def _csv_fault(path, fault: str = "malformed row") -> FormatError:
+    """The error for the first line of a CSV stream that breaks a rule, by its
+    physical number. Runs only after the array parse or its checks failed."""
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [s.strip() for s in line.split(",")]
-            if ncols is None:
-                # optional header line
-                try:
-                    float(parts[0])
-                except ValueError:
-                    continue
+        numbered = ((n, line) for n, line in enumerate(f, start=1) if not line.isspace())
+        for lineno, line in dropwhile(lambda item: _is_header(item[1]), numbered):
             try:
-                vals = [float(s) for s in parts]
+                vals = [float(s.strip()) for s in line.split(",")]
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: unparseable field ({exc})") from None
+                fault = f"line {lineno}: unparseable field ({exc})"
+                break
             if len(vals) not in (4, 5):
-                raise FormatError(f"{path}: line {lineno}: expected 4 or 5 fields, got {len(vals)}")
-            if ncols is None:
-                ncols = len(vals)
-            elif len(vals) != ncols:
-                raise FormatError(f"{path}: line {lineno}: inconsistent field count")
-            x, y, t, p = vals[:4]
-            if p not in (-1.0, 1.0):
-                raise FormatError(f"{path}: line {lineno}: polarity must be -1 or 1, got {p:g}")
-            if not np.isfinite(t) or t < 0.0:
-                raise FormatError(f"{path}: line {lineno}: bad timestamp {t!r}")
-            if not (np.isfinite(x) and np.isfinite(y)):
-                raise FormatError(f"{path}: line {lineno}: non-finite coordinates")
-            xs.append(x)
-            ys.append(y)
-            ts.append(t)
-            ps.append(int(p))
-            if len(vals) == 5:
-                lab = vals[4]
-                if lab not in (0.0, 1.0):
-                    raise FormatError(f"{path}: line {lineno}: label must be 0 or 1, got {lab:g}")
-                labels.append(int(lab))
-    events = Events(xs, ys, ts, ps, validate=False)
-    lab_arr = np.asarray(labels, dtype=bool) if ncols == 5 else None
-    return LoadedStream(events, lab_arr, None)
+                fault = f"line {lineno}: expected 4 or 5 fields, got {len(vals)}"
+                break
+            if rows and len(vals) != len(rows[0]):
+                fault = f"line {lineno}: inconsistent field count"
+                break
+            rows.append(vals)
+            linenos.append(lineno)
+    bad = _value_fault(np.array(rows)) if rows else None
+    return FormatError(f"{path}: line {linenos[bad[0]]}: {bad[1]}" if bad else f"{path}: {fault}")
+
+
+def _parse_csv(path) -> LoadedStream:
+    with open(path, "r", encoding="utf-8") as f:
+        body = dropwhile(_is_header, filterfalse(str.isspace, f))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _csv_fault(path, f"unparseable field ({exc})") from None
+    if rows.shape[0] == 0:
+        return LoadedStream(Events.empty(), None, None)
+    if rows.shape[1] not in (4, 5) or _value_fault(rows):
+        raise _csv_fault(path)
+    events = Events(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], validate=False)
+    labels = rows[:, 4].astype(bool) if rows.shape[1] == 5 else None
+    return LoadedStream(events, labels, None)
 
 
 def _parse_binary(path) -> LoadedStream:

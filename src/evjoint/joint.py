@@ -43,6 +43,10 @@ ALPHA_PEAK_MULTIPLES = 2.5
 KAPPA_DEFAULT = 1.1
 
 
+class NonFiniteObjective(RuntimeError):
+    """The objective became NaN or infinite during the ascent."""
+
+
 @dataclass(frozen=True)
 class ExplicitBaseline:
     """Use a fixed alignment baseline value."""
@@ -112,15 +116,18 @@ class ObjectiveParts:
 
 @dataclass(frozen=True)
 class JointResult:
+    """Motion, confidence map and labels; the solver's record defaults to
+    empty traces and NaN baselines for results no objective produced."""
+
     theta: MotionParams
     conf: ConfidenceMap
     labels: np.ndarray
-    trace: list[ObjectiveParts]
-    warm_trace: list[float]
-    final: ObjectiveParts | None
-    b_ea: float
-    b_ed: float
-    alpha: float
+    trace: list[ObjectiveParts] = field(default_factory=list)
+    warm_trace: list[float] = field(default_factory=list)
+    final: ObjectiveParts | None = None
+    b_ea: float = math.nan
+    b_ed: float = math.nan
+    alpha: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -297,7 +304,7 @@ def ea_ascent(window: EventWindow, model: str, cfg: JointConfig,
     for it in range(iterations):
         f_ea, grad = _ea_value_and_grad(window, phi, model, tspan, cfg.sigma)
         if not np.isfinite(f_ea):
-            raise RuntimeError(f"non-finite alignment objective at iteration {it}")
+            raise NonFiniteObjective(f"non-finite alignment objective at iteration {it}")
         trace.append(f_ea)
         phi, state = adam_step(phi, -grad, state, cfg.learning_rate_theta,
                                cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
@@ -307,20 +314,6 @@ def ea_ascent(window: EventWindow, model: str, cfg: JointConfig,
 def _time_scale(window: EventWindow) -> float:
     span = window.t_end - window.t_start
     return span if span > 0 else 1.0
-
-
-def _degenerate_result(window: EventWindow, model: str, b_ed: float, alpha: float) -> JointResult:
-    return JointResult(
-        theta=MotionParams.zero(model),
-        conf=ConfidenceMap.zeros(window.geometry),
-        labels=np.zeros(len(window), dtype=bool),
-        trace=[],
-        warm_trace=[],
-        final=None,
-        b_ea=float("nan"),
-        b_ed=b_ed,
-        alpha=alpha,
-    )
 
 
 def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
@@ -344,7 +337,8 @@ def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
             "returning zero motion and all-noise labels",
             stacklevel=2,
         )
-        return _degenerate_result(window, model, b_ed, alpha)
+        return JointResult(MotionParams.zero(model), ConfidenceMap.zeros(window.geometry),
+                           np.zeros(len(window), dtype=bool), b_ed=b_ed, alpha=alpha)
 
     tspan = _time_scale(window)
     warm_trace: list[float] = []
@@ -366,7 +360,7 @@ def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
             window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=True
         )
         if not np.isfinite(parts.total):
-            raise RuntimeError(f"non-finite objective at iteration {it}")
+            raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         trace.append(parts)
         phi, state_phi = adam_step(phi, dtheta / tspan, state_phi, cfg.learning_rate_theta,
                                    cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evjoint.baselines import BafConfig, baf_filter, cmax_solve, sequential_pipeline
 from evjoint.contrast import map_variance, smooth_map
@@ -76,6 +78,22 @@ class TestBafFilter:
         cfg = BafConfig()
         assert np.array_equal(baf_filter(window, cfg), brute_force_baf(window, cfg))
 
+    def test_far_apart_pixels_are_exact(self):
+        # pixels billions apart, and a pair one pixel apart far off the sensor
+        w = _window_from([1e12, 1e12 + 1.5, -5e9, 3.0], [2.0, 2.0, 7.0, 1e15],
+                         [0.0, 0.001, 0.002, 0.003])
+        assert baf_filter(w, BafConfig()).tolist() == [True, True, False, False]
+
+    def test_key_overflow_rejected(self):
+        # ~900k events on distinct, widely spaced pixels would overflow the
+        # int64 keys at radius 3; the filter refuses instead of miscounting
+        n = 900_000
+        coords = np.arange(n) * 10.0
+        ev = Events(coords, coords, np.zeros(n), np.ones(n, dtype=np.int8))
+        w = EventWindow(ev, G, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="int64"):
+            baf_filter(w, BafConfig(radius=3))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BafConfig(dt_max=0.0)
@@ -83,6 +101,36 @@ class TestBafFilter:
             BafConfig(radius=0)
         with pytest.raises(ValueError):
             BafConfig(min_support=0)
+
+
+def interval_oracle(window, cfg):
+    """O(N^2) count with the filter's own interval t - dt_max <= t_j <= t + dt_max."""
+    ev = window.events
+    px, py, t = np.floor(ev.x), np.floor(ev.y), ev.t
+    near = ((np.abs(px[:, None] - px[None, :]) <= cfg.radius)
+            & (np.abs(py[:, None] - py[None, :]) <= cfg.radius)
+            & (t[:, None] - cfg.dt_max <= t[None, :])
+            & (t[None, :] <= t[:, None] + cfg.dt_max))
+    np.fill_diagonal(near, False)
+    return near.sum(axis=1) >= cfg.min_support
+
+
+# pixels of a 5x4 sensor, border pixels included; a fraction inside the pixel
+_PIXEL_X = st.integers(0, 4).flatmap(lambda i: st.sampled_from([i, i + 0.5, i + 0.999]))
+_PIXEL_Y = st.integers(0, 3).flatmap(lambda i: st.sampled_from([i, i + 0.25, i + 0.999]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(st.tuples(_PIXEL_X, _PIXEL_Y, st.integers(0, 40)), max_size=60),
+       dt_ms=st.sampled_from([1, 2, 3, 5]), radius=st.integers(1, 3),
+       min_support=st.integers(1, 3))
+def test_baf_matches_interval_oracle(events, dt_ms, radius, min_support):
+    xs, ys, ks = (np.array(c, dtype=float) for c in zip(*events)) if events else ([], [], [])
+    t = np.sort(np.asarray(ks) * 0.001)  # a 1 ms grid: exact ties
+    ev = Events(xs, ys, t, np.ones(len(t), dtype=np.int8))
+    w = EventWindow(ev, SensorGeometry(5, 4), 0.0, 0.04, 0.02)
+    cfg = BafConfig(dt_max=dt_ms * 0.001, radius=radius, min_support=min_support)
+    assert np.array_equal(baf_filter(w, cfg), interval_oracle(w, cfg))
 
 
 class TestCmax:

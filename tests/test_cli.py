@@ -85,6 +85,23 @@ class TestPipeline:
                        "--method", method) == 0
             assert read_events(out).labels is not None
 
+    def test_output_format_follows_suffix(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run("denoise", "-i", str(synth_file), "-o", str(out),
+                   "--method", "baf") == 0
+        assert out.read_text().startswith("x,y,t,p,label\n")
+        assert run("eval", "--pred", str(out), "--truth", str(synth_file)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counts"]["tp"] + report["counts"]["fp"] > 0
+
+    def test_nonfinite_objective_exits_two(self, synth_file, tmp_path, capsys):
+        code = run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "o.evj"),
+                   "--b-ea", "inf", "--iters", "4")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evjoint: error: non-finite objective at iteration 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_estimate_motion_csv(self, synth_file, tmp_path):
         out = tmp_path / "traj.csv"
         assert run("estimate-motion", "-i", str(synth_file), "-o", str(out)) == 0

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evjoint.events import (
     Event,
@@ -97,6 +101,44 @@ class TestCsv:
         with pytest.raises(FormatError, match="line 2"):
             read_events(p)
 
+    @pytest.mark.parametrize("text,message", [
+        ("1,1,0.1,1\n\n  \n1,1,0.2,5\n", "line 4: polarity must be -1 or 1, got 5"),
+        ("1,1,0.1,1\n1,abc,0.2,1\n",
+         "line 2: unparseable field (could not convert string to float: 'abc')"),
+        ("1,1,0.1,1\ninf,1,0.2,1\n", "line 2: non-finite coordinates"),
+        ("1,1,-0.5,1\n", "line 1: bad timestamp -0.5"),
+        ("1,1,nan,1\n", "line 1: bad timestamp nan"),
+        ("1,1,0.1,1,2\n", "line 1: label must be 0 or 1, got 2"),
+        ("1,1,0.1\n", "line 1: expected 4 or 5 fields, got 3"),
+        ("x,y,t,p\n\n1,1,0.1,1,0,7\n", "line 3: expected 4 or 5 fields, got 6"),
+        ("1,1,0.1,1\n\n1,1,0.2,1,0\n", "line 3: inconsistent field count"),
+        ("1,1,0.1,1\n# comment\n1,1,0.2,1\n",
+         "line 2: unparseable field (could not convert string to float: '# comment')"),
+        # the first bad line wins, whichever rule it breaks
+        ("1,1,0.1,3\n1,x,0.2,1\n", "line 1: polarity must be -1 or 1, got 3"),
+        ("1,x,0.1,1\n1,1,0.2,3\n",
+         "line 1: unparseable field (could not convert string to float: 'x')"),
+    ])
+    def test_error_names_physical_line(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+            read_events(p)
+
+    def test_header_lines_and_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("x,y,t,p,label\n\n# units px,px,s\n \t\n1.5,2,0.25,-1,1\n\n3,4,0.5,1,0\n")
+        loaded = read_events(p)
+        assert loaded.events.x.tolist() == [1.5, 3.0]
+        assert loaded.labels.tolist() == [True, False]
+
+    def test_header_only_file(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("x,y,t,p,label\n")
+        loaded = read_events(p)
+        assert len(loaded.events) == 0
+        assert loaded.labels is None
+
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         ev, labels = _random_events(rng, 500, labels=True)
@@ -105,6 +147,30 @@ class TestCsv:
         loaded = read_events(p)
         assert loaded.events == ev
         assert np.array_equal(loaded.labels, labels)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TIME = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_FINITE, _FINITE, _TIME, st.sampled_from([-1, 1]),
+                               st.booleans()), min_size=1, max_size=40),
+       labeled=st.booleans())
+def test_csv_roundtrip_bit_exact(tmp_path_factory, rows, labeled):
+    x, y, t, p, lab = (np.array(c) for c in zip(*rows))
+    ev = Events(x, y, np.sort(t), p)
+    path = tmp_path_factory.mktemp("rt") / "rt.csv"
+    write_events(ev, path, labels=lab if labeled else None)
+    loaded = read_events(path)
+    for col in ("x", "y", "t"):
+        assert getattr(loaded.events, col).view(np.uint64).tolist() == \
+            getattr(ev, col).view(np.uint64).tolist()
+    assert np.array_equal(loaded.events.p, ev.p)
+    if labeled:
+        assert np.array_equal(loaded.labels, lab)
+    else:
+        assert loaded.labels is None
 
 
 class TestBinary:
