@@ -9,7 +9,7 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import DEGENERATE_MIN_EVENTS, JointConfig, JointResult, ea_ascent
+from .joint import DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _time_scale, ea_ascent
 from .warp import MotionParams
 
 
@@ -82,8 +82,7 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParam
     if len(window) < DEGENERATE_MIN_EVENTS:
         return MotionParams.zero(model)
     phi, _ = ea_ascent(window, model, cfg, cfg.iterations)
-    tspan = window.t_end - window.t_start
-    return MotionParams(model, phi / (tspan if tspan > 0 else 1.0))
+    return MotionParams(model, phi / _time_scale(window))
 
 
 def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig,

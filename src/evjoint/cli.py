@@ -117,10 +117,10 @@ def _load_stream(path, geometry_flag: str | None, sort: bool):
 
 def _make_windows(events: Events, geometry: SensorGeometry,
                   window_ms: float | None, window_count: int | None) -> list[EventWindow]:
-    if len(events) == 0:
-        return []
     if window_ms is not None and window_count is not None:
         raise CliError("--window-ms and --window-count are mutually exclusive")
+    if len(events) == 0:
+        return []
     if window_ms is not None:
         return window_stream(events, geometry, FixedDuration(window_ms / 1000.0))
     if window_count is not None:
@@ -233,7 +233,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             if args.method == "joint":
-                res = solve(w, cfg, seed=args.seed, model=args.model)
+                res = solve(w, cfg, model=args.model)
             elif args.method == "baf":
                 keep = baf_filter(w, baf_cfg)
                 kept_mask = hard_map(w.positions[keep], geometry).values > 0
@@ -242,8 +242,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
             else:  # cmax-seq
                 res = sequential_pipeline(w, baf_cfg, cfg, model=args.model)
         labels_out.append(res.labels)
-        warped = warp(w, res.theta).positions
-        confidences.append(interpolate_confidence(res.conf.weights, warped))
+        confidences.append(interpolate_confidence(res.conf.weights, warp(w, res.theta)))
         _emit_trace(args.log, i, res.trace)
         records.append(_window_record(w, res, int(res.labels.sum())))
         logger.info("window %d: %d/%d kept, theta=%s", i, int(res.labels.sum()),
@@ -272,7 +271,7 @@ def cmd_estimate_motion(args: argparse.Namespace) -> int:
                 theta = cmax_solve(w, args.model, cfg)
                 trace = []
             else:
-                res = solve(w, cfg, seed=args.seed, model=args.model)
+                res = solve(w, cfg, model=args.model)
                 theta, trace = res.theta, res.trace
         _emit_trace(args.log, i, trace)
         rows.append((w.t_ref, theta.values))
@@ -379,7 +378,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         theta = MotionParams.translation(vx, vy)
     else:
         theta = MotionParams.translation(0.0, 0.0)
-    positions = warp(window, theta).positions
+    positions = warp(window, theta)
     if args.hard:
         values = hard_map(positions, geometry).values
     else:

@@ -320,26 +320,3 @@ def map_variance(cmap) -> float:
     """Population variance over all pixels (divide by H*W)."""
     values = getattr(cmap, "values", cmap)
     return float(np.var(values))
-
-
-def variance_gradients(
-    positions: np.ndarray,
-    conf: ConfidenceMap,
-    geometry: SensorGeometry,
-    sigma: float = SIGMA_DEFAULT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of var(weights * smooth_map(positions)).
-
-    Returns (d_var/d_positions with shape (N, 2), d_var/d_logits with
-    shape (H, W)). Uses d var / d A_ij = 2 (A_ij - mean(A)) / (H W).
-    """
-    cache = _splat(positions, geometry, sigma)
-    m = cache.values
-    wts = conf.weights
-    if wts.shape != m.shape:
-        raise ValueError("confidence map shape does not match geometry")
-    a = wts * m
-    coef = (2.0 / a.size) * (a - a.mean())
-    dlogits = coef * m * wts * (1.0 - wts)
-    dpos = cache.position_gradient(coef * wts)
-    return dpos, dlogits

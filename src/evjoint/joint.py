@@ -20,15 +20,7 @@ import numpy as np
 
 from .contrast import SIGMA_DEFAULT, ConfidenceMap, _splat, sigmoid
 from .events import EventWindow
-from .warp import (
-    ROTATION_INPLANE,
-    TRANSLATION_2D,
-    MotionParams,
-    _rotation_center,
-    model_dim,
-    warp_jacobian,
-    warp_positions,
-)
+from .warp import TRANSLATION_2D, MotionParams, model_dim, warp, warp_jacobian
 
 # Below this event count the variance objectives are meaningless;
 # such windows are returned unoptimized with every event marked noise.
@@ -210,45 +202,53 @@ def _require_explicit_b_ea(cfg: JointConfig) -> float:
 
 
 def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool):
-    """Objective parts and, optionally, gradients w.r.t. theta and logits."""
-    dt = window.times - window.t_ref
-    center = _rotation_center(window) if theta.model == ROTATION_INPLANE else None
-    warped = warp_positions(window.positions, dt, theta, center)
-    cache = _splat(warped, window.geometry, cfg.sigma)
+    """Objective parts and, optionally, gradients w.r.t. theta and logits.
+
+    With logits=None only the alignment regret b_ea - f_ea is evaluated
+    (worst_regret and total equal it): the denoising parts are NaN, alpha and
+    b_ed are unused, and there is no logit gradient.
+    """
+    cache = _splat(warp(window, theta), window.geometry, cfg.sigma)
     m = cache.values
-    wts = sigmoid(logits)
-    a = wts * m
     n_pix = m.size
     mu_m = m.mean()
-    mu_w = a.mean()
     f_ea = float(((m - mu_m) ** 2).mean())
-    f_ed = float(((a - mu_w) ** 2).mean())
     r_ea = b_ea - f_ea
-    r_ed = f_ed - b_ed
-    worst = max(r_ea, r_ed)
-    l1 = float(wts.sum())
-    resid = (wts - 1.0) * m
-    fidelity = float((resid ** 2).sum())
-    total = worst + alpha * l1 + cfg.beta * fidelity
-    parts = ObjectiveParts(f_ea, f_ed, r_ea, r_ed, worst, l1, fidelity, total)
-    if not want_grads:
-        return parts, None, None
-
-    # subgradient of max(r_ea, r_ed): active branch, averaged on a tie
-    if r_ea > r_ed:
-        coef_m = -(2.0 / n_pix) * (m - mu_m)
-        dlog_r = 0.0
-    elif r_ed > r_ea:
-        coef_m = (2.0 / n_pix) * (a - mu_w) * wts
-        dlog_r = (2.0 / n_pix) * (a - mu_w) * m
+    if logits is None:
+        nan = math.nan
+        parts = ObjectiveParts(f_ea, nan, r_ea, nan, r_ea, nan, nan, r_ea)
+        if not want_grads:
+            return parts, None, None
+        coef_m, dlogits = -(2.0 / n_pix) * (m - mu_m), None
     else:
-        coef_m = (1.0 / n_pix) * ((a - mu_w) * wts - (m - mu_m))
-        dlog_r = (1.0 / n_pix) * (a - mu_w) * m
-    coef_m = coef_m + 2.0 * cfg.beta * (wts - 1.0) * resid
-    dlogits = (dlog_r + alpha + 2.0 * cfg.beta * resid * m) * wts * (1.0 - wts)
+        wts = sigmoid(logits)
+        a = wts * m
+        mu_w = a.mean()
+        f_ed = float(((a - mu_w) ** 2).mean())
+        r_ed = f_ed - b_ed
+        worst = max(r_ea, r_ed)
+        l1 = float(wts.sum())
+        resid = (wts - 1.0) * m
+        fidelity = float((resid ** 2).sum())
+        total = worst + alpha * l1 + cfg.beta * fidelity
+        parts = ObjectiveParts(f_ea, f_ed, r_ea, r_ed, worst, l1, fidelity, total)
+        if not want_grads:
+            return parts, None, None
+
+        # subgradient of max(r_ea, r_ed): active branch, averaged on a tie
+        if r_ea > r_ed:
+            coef_m = -(2.0 / n_pix) * (m - mu_m)
+            dlog_r = 0.0
+        elif r_ed > r_ea:
+            coef_m = (2.0 / n_pix) * (a - mu_w) * wts
+            dlog_r = (2.0 / n_pix) * (a - mu_w) * m
+        else:
+            coef_m = (1.0 / n_pix) * ((a - mu_w) * wts - (m - mu_m))
+            dlog_r = (1.0 / n_pix) * (a - mu_w) * m
+        coef_m = coef_m + 2.0 * cfg.beta * (wts - 1.0) * resid
+        dlogits = (dlog_r + alpha + 2.0 * cfg.beta * resid * m) * wts * (1.0 - wts)
     dpos = cache.position_gradient(coef_m)
-    jac = warp_jacobian(window, theta)
-    dtheta = np.einsum("ka,kap->p", dpos, jac)
+    dtheta = np.einsum("ka,kap->p", dpos, warp_jacobian(window, theta))
     return parts, dtheta, dlogits
 
 
@@ -272,23 +272,6 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
     return dtheta, dlogits
 
 
-def _ea_value_and_grad(window, phi, model, tspan, sigma):
-    """Alignment variance and its gradient in window-displacement units."""
-    theta = MotionParams(model, phi / tspan)
-    dt = window.times - window.t_ref
-    center = _rotation_center(window) if model == ROTATION_INPLANE else None
-    warped = warp_positions(window.positions, dt, theta, center)
-    cache = _splat(warped, window.geometry, sigma)
-    m = cache.values
-    mu = m.mean()
-    f_ea = float(((m - mu) ** 2).mean())
-    coef = (2.0 / m.size) * (m - mu)
-    dpos = cache.position_gradient(coef)
-    jac = warp_jacobian(window, theta)
-    df_dphi = np.einsum("ka,kap->p", dpos, jac) / tspan
-    return f_ea, df_dphi
-
-
 def ea_ascent(window: EventWindow, model: str, cfg: JointConfig,
               iterations: int, phi0: np.ndarray | None = None):
     """Adam ascent on the alignment variance alone.
@@ -302,11 +285,13 @@ def ea_ascent(window: EventWindow, model: str, cfg: JointConfig,
     state = AdamState.zeros_like(phi)
     trace: list[float] = []
     for it in range(iterations):
-        f_ea, grad = _ea_value_and_grad(window, phi, model, tspan, cfg.sigma)
-        if not np.isfinite(f_ea):
+        # Adam minimizes the regret 0 - f_ea, so it ascends f_ea
+        parts, dtheta, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
+                                     math.nan, 0.0, math.nan, want_grads=True)
+        if not np.isfinite(parts.f_ea):
             raise NonFiniteObjective(f"non-finite alignment objective at iteration {it}")
-        trace.append(f_ea)
-        phi, state = adam_step(phi, -grad, state, cfg.learning_rate_theta,
+        trace.append(parts.f_ea)
+        phi, state = adam_step(phi, dtheta / tspan, state, cfg.learning_rate_theta,
                                cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     return phi, trace
 
@@ -316,8 +301,7 @@ def _time_scale(window: EventWindow) -> float:
     return span if span > 0 else 1.0
 
 
-def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
-          model: str = TRANSLATION_2D) -> JointResult:
+def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
 
     Runs full-batch Adam from theta = 0 and logits = 0 (weights 0.5). With a
@@ -325,10 +309,8 @@ def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
     iteration budget runs first; the joint phase then restarts from the
     warm-started motion. Events are finally classified as signal when the
     bilinear sample of the confidence weights at their warped position
-    reaches tau. Deterministic: the solver is full-batch, so the seed is
-    accepted only for interface stability.
+    reaches tau. Deterministic: the solver is full-batch.
     """
-    del seed  # full-batch updates, nothing stochastic to seed
     b_ed = _denoise_baseline(window, cfg.sigma)
     alpha = _resolve_alpha(cfg)
     if len(window) < DEGENERATE_MIN_EVENTS:
@@ -344,8 +326,9 @@ def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
     warm_trace: list[float] = []
     if isinstance(cfg.b_ea, WarmStartScaled):
         phi, warm_trace = ea_ascent(window, model, cfg, cfg.iterations // 2)
-        f_ws, _ = _ea_value_and_grad(window, phi, model, tspan, cfg.sigma)
-        b_ea = cfg.b_ea.kappa * f_ws
+        warm, _, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
+                               math.nan, 0.0, math.nan, want_grads=False)
+        b_ea = cfg.b_ea.kappa * warm.f_ea
     else:
         phi = np.zeros(model_dim(model))
         b_ea = float(cfg.b_ea.value)
@@ -369,11 +352,7 @@ def solve(window: EventWindow, cfg: JointConfig, seed: int = 0,
 
     theta = MotionParams(model, phi / tspan)
     final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False)
-    weights = sigmoid(logits)
-    dt = window.times - window.t_ref
-    center = _rotation_center(window) if model == ROTATION_INPLANE else None
-    warped = warp_positions(window.positions, dt, theta, center)
-    labels = interpolate_confidence(weights, warped) >= cfg.tau
+    labels = interpolate_confidence(sigmoid(logits), warp(window, theta)) >= cfg.tau
     return JointResult(
         theta=theta,
         conf=ConfidenceMap(logits),

@@ -66,19 +66,6 @@ def model_dim(model: str) -> int:
         raise ValueError(f"unknown motion model {model!r}") from None
 
 
-@dataclass(frozen=True)
-class WarpedEvents:
-    """Motion-compensated positions; one row per source event."""
-
-    positions: np.ndarray
-    source: EventWindow
-    theta: MotionParams
-
-    def __post_init__(self) -> None:
-        if self.positions.shape != (len(self.source), 2):
-            raise ValueError("warped positions must be (N, 2) parallel to the source events")
-
-
 def _rotation_center(window: EventWindow) -> np.ndarray:
     g = window.geometry
     return np.array([(g.width - 1) / 2.0, (g.height - 1) / 2.0])
@@ -103,15 +90,15 @@ def warp_positions(
     return out
 
 
-def warp(window: EventWindow, theta: MotionParams) -> WarpedEvents:
-    """Move every event to its compensated position at the window's t_ref.
+def warp(window: EventWindow, theta: MotionParams) -> np.ndarray:
+    """Compensated position of every event at the window's t_ref, (N, 2).
 
-    Positions may land outside the sensor; they are kept as-is and simply
-    contribute nothing to accumulation maps.
+    Row k is event k's position. Positions may land outside the sensor; they
+    are kept as-is and simply contribute nothing to accumulation maps.
     """
     dt = window.times - window.t_ref
     center = _rotation_center(window) if theta.model == ROTATION_INPLANE else None
-    return WarpedEvents(warp_positions(window.positions, dt, theta, center), window, theta)
+    return warp_positions(window.positions, dt, theta, center)
 
 
 def warp_jacobian(window: EventWindow, theta: MotionParams) -> np.ndarray:

@@ -155,7 +155,7 @@ class TestCmax:
         cfg = JointConfig()
         theta = cmax_solve(w, "translation2d", cfg)
         f0 = map_variance(smooth_map(w.positions, G))
-        f1 = map_variance(smooth_map(warp(w, theta).positions, G))
+        f1 = map_variance(smooth_map(warp(w, theta), G))
         noise_gain = f1 / f0 - 1.0
         assert noise_gain < 0.25
         budget = cfg.iterations * cfg.learning_rate_theta / (w.t_end - w.t_start)
@@ -165,7 +165,7 @@ class TestCmax:
         window, _, _ = generate(spec, seed=0)
         th = cmax_solve(window, "translation2d", cfg)
         s0 = map_variance(smooth_map(window.positions, G))
-        s1 = map_variance(smooth_map(warp(window, th).positions, G))
+        s1 = map_variance(smooth_map(warp(window, th), G))
         assert s1 / s0 - 1.0 > 4.0 * noise_gain  # structure dwarfs the noise gain
 
     def test_zero_event_window(self):

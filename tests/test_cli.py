@@ -42,6 +42,17 @@ class TestDispatch:
         assert run("denoise", "-i", str(p), "-o", str(tmp_path / "o.evj")) == 2
         assert "geometry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["x,y,t,p\n", "x,y,t,p\n1,1,0.1,1\n"],
+                             ids=["header-only", "one-event"])
+    def test_conflicting_window_flags_exit_two(self, tmp_path, capsys, body):
+        p = tmp_path / "in.csv"
+        p.write_text(body)
+        out = tmp_path / "o.evj"
+        assert run("denoise", "-i", str(p), "-o", str(out), "--geometry", "8x8",
+                   "--window-ms", "10", "--window-count", "5") == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_labeled_binary_and_sidecar(self, synth_file):

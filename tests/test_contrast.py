@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evjoint.contrast as contrast
 from evjoint.contrast import (
@@ -10,7 +12,6 @@ from evjoint.contrast import (
     hard_map,
     map_variance,
     smooth_map,
-    variance_gradients,
     weighted_map,
 )
 from evjoint.events import SensorGeometry
@@ -99,18 +100,35 @@ class TestSmoothMap:
         assert np.allclose(fast_grad, slow_grad, atol=1e-13)
 
     @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0])
-    def test_numpy_kernel_matches_per_event_oracle(self, monkeypatch, sigma):
-        monkeypatch.setattr(contrast, "_HAVE_NUMBA", False)
-        rng = np.random.default_rng(7)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_numpy_kernel_matches_per_event_oracle(self, sigma, data):
+        # sigma is drawn within 20% of the parametrized value; positions lie
+        # inside the sensor, straddle its border or are wholly off it
+        s = data.draw(st.floats(0.8 * sigma, 1.2 * sigma), label="sigma")
         g = SensorGeometry(16, 12)
-        # inside, straddling the border, and wholly off the sensor
-        pos = np.concatenate([
-            rng.uniform(0, 12, (80, 2)),
-            rng.uniform(-3 * sigma, 16 + 3 * sigma, (120, 2)),
-            [[-40.0, 5.0], [5.0, -40.0], [60.0, 60.0], [-0.5, 11.9]],
-        ])
-        coef = rng.normal(size=g.shape)
-        half = math.ceil(contrast.TRUNCATE_SIGMAS * sigma)
+        half = math.ceil(contrast.TRUNCATE_SIGMAS * s)
+        reach = half + 1.0  # no tap of an event this far beyond an edge lands on the sensor
+
+        def near_edge(size):
+            return st.sampled_from([0.0, float(size)]).flatmap(
+                lambda e: st.floats(e - reach, e + reach))
+
+        def off(size):
+            return st.one_of(st.floats(-1e4, -reach), st.floats(size + reach, 1e4))
+
+        anywhere = st.floats(-1e4, 1e4)
+        position = st.one_of(
+            st.tuples(st.floats(0, g.width, exclude_max=True),
+                      st.floats(0, g.height, exclude_max=True)),
+            st.tuples(near_edge(g.width), st.floats(-reach, g.height + reach)),
+            st.tuples(st.floats(-reach, g.width + reach), near_edge(g.height)),
+            st.tuples(off(g.width), anywhere),
+            st.tuples(anywhere, off(g.height)),
+        )
+        pos = np.array(data.draw(st.lists(position, max_size=30), label="positions"),
+                       dtype=np.float64).reshape(-1, 2)
+        coef = np.random.default_rng(7).normal(size=g.shape)
         values = np.zeros(g.shape)
         grad = np.zeros((len(pos), 2))
         for k, (x, y) in enumerate(pos):
@@ -118,13 +136,16 @@ class TestSmoothMap:
                 for j in range(math.floor(x) - half, math.floor(x) + half + 1):
                     if 0 <= i < g.height and 0 <= j < g.width:
                         dx, dy = j + 0.5 - x, i + 0.5 - y
-                        wk = math.exp(-(dx * dx + dy * dy) / (2 * sigma * sigma))
-                        wk /= 2 * math.pi * sigma * sigma
+                        wk = math.exp(-(dx * dx + dy * dy) / (2 * s * s)) / (2 * math.pi * s * s)
                         values[i, j] += wk
-                        grad[k] += coef[i, j] * wk * np.array([dx, dy]) / (sigma * sigma)
-        cache = contrast.SplatCache(pos, g, sigma)
+                        grad[k, 0] += coef[i, j] * wk * dx / (s * s)
+                        grad[k, 1] += coef[i, j] * wk * dy / (s * s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contrast, "_HAVE_NUMBA", False)
+            cache = contrast.SplatCache(pos, g, s)
+            got = cache.position_gradient(coef)
         assert np.max(np.abs(cache.values - values)) <= 1e-12
-        assert np.max(np.abs(cache.position_gradient(coef) - grad)) <= 1e-12
+        assert np.max(np.abs(got - grad), initial=0.0) <= 1e-12
 
 
 class TestWeightedMap:
@@ -175,18 +196,20 @@ class TestVariance:
 
 
 class TestVarianceGradients:
+    """The kernel's position gradient, which every variance gradient runs
+    through: d/dp sum(coef * smooth_map(p)) for a fixed coefficient grid."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         g = SensorGeometry(12, 12)
         n = 60
         pos = rng.uniform(0, 12, (n, 2))
-        logits = rng.normal(0, 1.5, g.shape)
-        conf = ConfidenceMap(logits)
-        dpos, dlog = variance_gradients(pos, conf, g, sigma=1.0)
+        coef = rng.normal(0, 1.5, g.shape)
+        dpos = contrast.SplatCache(pos, g, 1.0).position_gradient(coef)
 
-        def value(p, lg):
-            return map_variance(weighted_map(smooth_map(p, g), ConfidenceMap(lg)))
+        def value(p):
+            return float((coef * smooth_map(p, g, sigma=1.0).values).sum())
 
         h = 1e-4
         for k in rng.choice(n, 6, replace=False):
@@ -195,27 +218,18 @@ class TestVarianceGradients:
                 pp[k, ax] += h
                 pm = pos.copy()
                 pm[k, ax] -= h
-                fd = (value(pp, logits) - value(pm, logits)) / (2 * h)
+                fd = (value(pp) - value(pm)) / (2 * h)
                 denom = max(abs(fd), abs(dpos[k, ax]), 1e-10)
                 assert abs(fd - dpos[k, ax]) / denom < 1e-4
-        for _ in range(6):
-            i, j = rng.integers(0, 12, 2)
-            lp = logits.copy()
-            lp[i, j] += h
-            lm = logits.copy()
-            lm[i, j] -= h
-            fd = (value(pos, lp) - value(pos, lm)) / (2 * h)
-            denom = max(abs(fd), abs(dlog[i, j]), 1e-10)
-            assert abs(fd - dlog[i, j]) / denom < 1e-4
 
     def test_zero_events(self):
-        dpos, dlog = variance_gradients(np.zeros((0, 2)), ConfidenceMap.zeros(G16), G16)
-        assert dpos.shape == (0, 2)
-        assert np.all(dlog == 0.0)
+        cache = contrast.SplatCache(np.zeros((0, 2)), G16, 1.0)
+        assert np.all(cache.values == 0.0)
+        assert cache.position_gradient(np.ones(G16.shape)).shape == (0, 2)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            variance_gradients(np.zeros((1, 2)), ConfidenceMap.zeros(G16), G16, sigma=-1.0)
+            contrast.SplatCache(np.zeros((1, 2)), G16, -1.0)
 
 
 def test_alignment_raises_smooth_variance_on_synthetic_edge():
@@ -226,5 +240,5 @@ def test_alignment_raises_smooth_variance_on_synthetic_edge():
     spec = SceneSpec(g, MultiEdge(8.0), MotionParams.translation(30.0, -10.0), 0.1)
     window, _, theta_gt = generate(spec, seed=0)
     raw = map_variance(smooth_map(window.positions, g))
-    aligned = map_variance(smooth_map(warp(window, theta_gt).positions, g))
+    aligned = map_variance(smooth_map(warp(window, theta_gt), g))
     assert aligned > raw

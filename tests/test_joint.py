@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from evjoint.joint import (
     ExplicitBaseline,
     JointConfig,
     WarmStartScaled,
+    _evaluate,
     adam_step,
     interpolate_confidence,
     objective,
@@ -220,7 +223,7 @@ class TestObjectiveGradients:
         cfg_on = JointConfig(alpha=1e-3, beta=2e-2, b_ea=ExplicitBaseline(1e6))
         _, dlog = objective_gradients(self.window, theta, ConfidenceMap(logits), cfg_on)
         wts = sigmoid(logits)
-        m = smooth_map(warp(self.window, theta).positions, G16).values
+        m = smooth_map(warp(self.window, theta), G16).values
         resid = (wts - 1.0) * m
         expected = (1e-3 + 2.0 * 2e-2 * resid * m) * wts * (1.0 - wts)
         assert np.allclose(dlog, expected, atol=1e-14)
@@ -232,6 +235,32 @@ class TestObjectiveGradients:
                                       ConfidenceMap(logits), cfg)
         wts = sigmoid(logits)
         assert np.allclose(dlog, 7e-3 * wts * (1.0 - wts), atol=1e-15)
+
+    @pytest.mark.parametrize("theta", [MotionParams.translation(4.0, -6.0),
+                                       MotionParams.rotation(2.0)], ids=lambda t: t.model)
+    def test_alignment_only_matches_fd(self, theta):
+        # logits=None: only r_ea = b_ea - f_ea, differentiated w.r.t. theta
+        cfg = JointConfig(b_ea=ExplicitBaseline(0.3))
+
+        def evaluate(th, want_grads):
+            return _evaluate(self.window, MotionParams(theta.model, th), None, cfg,
+                             math.nan, 0.3, math.nan, want_grads)
+
+        parts, dtheta, dlogits = evaluate(theta.values, True)
+        assert dlogits is None
+        assert parts.total == parts.worst_regret == parts.r_ea == 0.3 - parts.f_ea
+        assert np.isnan([parts.f_ed, parts.r_ed, parts.l1, parts.fidelity]).all()
+        full = objective(self.window, theta, ConfidenceMap.zeros(G16), cfg)
+        assert parts.f_ea == full.f_ea and parts.r_ea == full.r_ea
+        h = 1e-4
+        fd = np.zeros_like(dtheta)
+        for p in range(theta.dim):
+            tp = theta.values.copy()
+            tp[p] += h
+            tm = theta.values.copy()
+            tm[p] -= h
+            fd[p] = (evaluate(tp, False)[0].total - evaluate(tm, False)[0].total) / (2 * h)
+        assert np.linalg.norm(fd - dtheta) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
     def test_ed_branch_theta_gradient_nonzero(self):
         cfg = JointConfig(alpha=0.0, beta=0.0, b_ea=ExplicitBaseline(-1e6))
@@ -274,8 +303,8 @@ class TestSolve:
                          MotionParams.translation(30.0, 10.0), 0.2, noise_rate=0.1)
         window, _, _ = generate(spec, seed=0)
         cfg = JointConfig(iterations=40)
-        r1 = solve(window, cfg, seed=0)
-        r2 = solve(window, cfg, seed=99)  # seed is inert: full batch
+        r1 = solve(window, cfg)
+        r2 = solve(window, cfg)
         assert np.array_equal(r1.theta.values, r2.theta.values)
         assert np.array_equal(r1.conf.logits, r2.conf.logits)
         assert np.array_equal(r1.labels, r2.labels)

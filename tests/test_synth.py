@@ -74,7 +74,7 @@ def test_collapsing_warp_raises_hard_map_variance():
     spec = SceneSpec(G64, MultiEdge(8.0), MotionParams.translation(30.0, -10.0), 0.1)
     window, _, theta_gt = generate(spec, seed=0)
     raw_var = map_variance(hard_map(window.positions, G64))
-    warped = warp(window, theta_gt).positions
+    warped = warp(window, theta_gt)
     aligned_var = map_variance(hard_map(warped, G64))
     assert aligned_var > raw_var
 
