@@ -9,6 +9,10 @@ fail here instead of in `benchmarks/run.py --layers`.
 import importlib.util
 from pathlib import Path
 
+from evjoint.events import SensorGeometry
+from evjoint.synth import MultiEdge, SceneSpec
+from evjoint.warp import MotionParams
+
 LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
 
 
@@ -21,7 +25,11 @@ def _load_layers():
 
 def test_every_layer_step_runs_on_the_smallest_size(tmp_path):
     layers = _load_layers()
-    _, window = layers.sizes(seed=1)[0]
+    # the first entry of layers.sizes(), built alone: sizes() also builds
+    # the two large windows, which this test does not use
+    spec = SceneSpec(SensorGeometry(16, 16), MultiEdge(4.0),
+                     MotionParams.translation(30.0, -10.0), 0.05, noise_rate=0.10)
+    window = layers._first(spec, 1, 200)
     assert len(window) == 200
     steps = layers.steps(window, tmp_path / "layers")
     assert steps

@@ -128,24 +128,52 @@ class TestSmoothMap:
         )
         pos = np.array(data.draw(st.lists(position, max_size=30), label="positions"),
                        dtype=np.float64).reshape(-1, 2)
-        coef = np.random.default_rng(7).normal(size=g.shape)
-        values = np.zeros(g.shape)
-        grad = np.zeros((len(pos), 2))
-        for k, (x, y) in enumerate(pos):
-            for i in range(math.floor(y) - half, math.floor(y) + half + 1):
-                for j in range(math.floor(x) - half, math.floor(x) + half + 1):
-                    if 0 <= i < g.height and 0 <= j < g.width:
-                        dx, dy = j + 0.5 - x, i + 0.5 - y
-                        wk = math.exp(-(dx * dx + dy * dy) / (2 * s * s)) / (2 * math.pi * s * s)
-                        values[i, j] += wk
-                        grad[k, 0] += coef[i, j] * wk * dx / (s * s)
-                        grad[k, 1] += coef[i, j] * wk * dy / (s * s)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contrast, "_HAVE_NUMBA", False)
-            cache = contrast.SplatCache(pos, g, s)
-            got = cache.position_gradient(coef)
-        assert np.max(np.abs(cache.values - values)) <= 1e-12
-        assert np.max(np.abs(got - grad), initial=0.0) <= 1e-12
+        # events per kernel chunk: a few, so most examples span several
+        # chunks, or the kernel's own chunk size
+        per_chunk = data.draw(st.one_of(st.integers(1, 4), st.none()), label="per_chunk")
+        chunk_taps = contrast._CHUNK_TAPS if per_chunk is None else per_chunk * (2 * half + 1) ** 2
+        _assert_numpy_kernel_matches_oracle(pos, g, s, chunk_taps)
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0])
+    def test_numpy_kernel_matches_oracle_across_chunks(self, sigma):
+        # at the kernel's own chunk size: two full chunks and a partial third
+        g = SensorGeometry(16, 12)
+        half = math.ceil(contrast.TRUNCATE_SIGMAS * sigma)
+        step = contrast._CHUNK_TAPS // (2 * half + 1) ** 2
+        rng = np.random.default_rng(7)
+        n_border = 2 * step + step // 2 - 84
+        pos = np.concatenate([
+            rng.uniform(0, 12, (80, 2)),
+            rng.uniform(-3 * sigma, 16 + 3 * sigma, (n_border, 2)),
+            [[-40.0, 5.0], [5.0, -40.0], [60.0, 60.0], [-0.5, 11.9]],
+        ])
+        assert 2 * step < len(pos) < 3 * step
+        _assert_numpy_kernel_matches_oracle(pos, g, sigma, contrast._CHUNK_TAPS)
+
+
+def _assert_numpy_kernel_matches_oracle(pos, g, s, chunk_taps):
+    """The numpy kernel's map and position gradient against a per-event,
+    per-tap loop, to 1e-12, with the kernel's chunk size set to chunk_taps."""
+    half = math.ceil(contrast.TRUNCATE_SIGMAS * s)
+    coef = np.random.default_rng(7).normal(size=g.shape)
+    values = np.zeros(g.shape)
+    grad = np.zeros((len(pos), 2))
+    for k, (x, y) in enumerate(pos):
+        for i in range(math.floor(y) - half, math.floor(y) + half + 1):
+            for j in range(math.floor(x) - half, math.floor(x) + half + 1):
+                if 0 <= i < g.height and 0 <= j < g.width:
+                    dx, dy = j + 0.5 - x, i + 0.5 - y
+                    wk = math.exp(-(dx * dx + dy * dy) / (2 * s * s)) / (2 * math.pi * s * s)
+                    values[i, j] += wk
+                    grad[k, 0] += coef[i, j] * wk * dx / (s * s)
+                    grad[k, 1] += coef[i, j] * wk * dy / (s * s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contrast, "_HAVE_NUMBA", False)
+        mp.setattr(contrast, "_CHUNK_TAPS", chunk_taps)
+        cache = contrast.SplatCache(pos, g, s)
+        got = cache.position_gradient(coef)
+    assert np.max(np.abs(cache.values - values)) <= 1e-12
+    assert np.max(np.abs(got - grad), initial=0.0) <= 1e-12
 
 
 class TestWeightedMap:
