@@ -403,8 +403,12 @@ def window_stream(events: Events, geometry: SensorGeometry, policy) -> list[Even
         idx = np.floor((events.t - t0) / policy.seconds).astype(np.int64)
         for k in np.unique(idx):
             chunk = events.take(idx == k)
-            t_start = t0 + k * policy.seconds
-            t_end = t_start + policy.seconds
+            # floor((t - t0) / s) and t0 + k s round independently, so an
+            # event on a boundary can fall an ulp outside its window's bounds;
+            # widen them to hold it
+            lo = t0 + k * policy.seconds
+            t_start = min(lo, float(chunk.t[0]))
+            t_end = max(lo + policy.seconds, float(chunk.t[-1]))
             windows.append(
                 EventWindow(chunk, geometry, t_start, t_end, 0.5 * (t_start + t_end))
             )

@@ -64,9 +64,6 @@ class JointConfig:
     iterations: int = 300
     learning_rate_theta: float = 0.05
     learning_rate_logits: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     sigma: float = SIGMA_DEFAULT
     tau: float = 0.5
 
@@ -81,11 +78,6 @@ class JointConfig:
             raise ValueError("iterations must be non-negative")
         if not (self.learning_rate_theta > 0 and self.learning_rate_logits > 0):
             raise ValueError("learning rates must be positive")
-        for b in (self.adam_beta1, self.adam_beta2):
-            if not (0.0 <= b < 1.0):
-                raise ValueError("adam betas must lie in [0, 1)")
-        if not (self.adam_eps > 0):
-            raise ValueError("adam_eps must be positive")
         if not (self.sigma > 0):
             raise ValueError("sigma must be positive")
         if not (0.0 < self.tau < 1.0):
@@ -291,8 +283,7 @@ def ea_ascent(window: EventWindow, model: str, cfg: JointConfig,
         if not np.isfinite(parts.f_ea):
             raise NonFiniteObjective(f"non-finite alignment objective at iteration {it}")
         trace.append(parts.f_ea)
-        phi, state = adam_step(phi, dtheta / tspan, state, cfg.learning_rate_theta,
-                               cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        phi, state = adam_step(phi, dtheta / tspan, state, cfg.learning_rate_theta)
     return phi, trace
 
 
@@ -345,10 +336,8 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         trace.append(parts)
-        phi, state_phi = adam_step(phi, dtheta / tspan, state_phi, cfg.learning_rate_theta,
-                                   cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-        logits, state_log = adam_step(logits, dlogits, state_log, cfg.learning_rate_logits,
-                                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        phi, state_phi = adam_step(phi, dtheta / tspan, state_phi, cfg.learning_rate_theta)
+        logits, state_log = adam_step(logits, dlogits, state_log, cfg.learning_rate_logits)
 
     theta = MotionParams(model, phi / tspan)
     final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False)

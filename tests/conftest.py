@@ -1,20 +1,6 @@
 import numpy as np
-import pytest
 
-import evjoint as ej
 from evjoint.events import Events, EventWindow, SensorGeometry
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # absorb one-time JIT compilation so timed tests see steady-state speed
-    rng = np.random.default_rng(0)
-    g = SensorGeometry(8, 8)
-    pos = rng.uniform(0, 8, (20, 2))
-    ej.smooth_map(pos, g)
-    from evjoint.contrast import _splat
-
-    _splat(pos, g, 1.0).position_gradient(np.zeros((8, 8)))
 
 
 def random_window(rng, width=16, height=16, n=200, t_span=0.1) -> EventWindow:

@@ -1,9 +1,10 @@
 """Smoke test of the benchmark's per-layer table, benchmarks/layers.py.
 
 The table calls package internals (`joint._evaluate`, `joint._resolve_alpha`,
-`joint._denoise_baseline`, `contrast.SplatCache`, ...). Running each of its
-steps once on the smallest size makes a change to those names or signatures
-fail here instead of in `benchmarks/run.py --layers`.
+`joint._denoise_baseline`, `contrast.SplatCache`, `contrast._HAVE_NUMBA`,
+...). Running each of its steps, and then the whole table, once on the
+smallest size makes a change to those names or signatures fail here instead
+of in `benchmarks/run.py --layers`.
 """
 
 import importlib.util
@@ -23,15 +24,32 @@ def _load_layers():
     return module
 
 
-def test_every_layer_step_runs_on_the_smallest_size(tmp_path):
-    layers = _load_layers()
+def _smallest(layers):
     # the first entry of layers.sizes(), built alone: sizes() also builds
-    # the two large windows, which this test does not use
+    # the two large windows, which these tests do not use
     spec = SceneSpec(SensorGeometry(16, 16), MultiEdge(4.0),
                      MotionParams.translation(30.0, -10.0), 0.05, noise_rate=0.10)
     window = layers._first(spec, 1, 200)
     assert len(window) == 200
-    steps = layers.steps(window, tmp_path / "layers")
+    return window
+
+
+def test_every_layer_step_runs_on_the_smallest_size(tmp_path):
+    layers = _load_layers()
+    steps = layers.steps(_smallest(layers), tmp_path / "layers")
     assert steps
     for _, step in steps:
         step()
+
+
+def test_table_prints_on_the_smallest_size(tmp_path, monkeypatch, capsys):
+    layers = _load_layers()
+    window = _smallest(layers)
+    monkeypatch.setattr(layers, "sizes", lambda seed: [("200 ev, 16x16", window)])
+    monkeypatch.setattr(layers, "TARGET_S", 0.0)
+    monkeypatch.setattr(layers, "MIN_CALLS", 1)
+    assert layers.main(["--workdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("backend numpy, ")
+    assert "| splat | " in out and "| position_gradient | " in out
+    assert list(tmp_path.iterdir()) == []

@@ -141,6 +141,21 @@ class TestPipeline:
         side = json.loads((tmp_path / "out.evj.json").read_text())
         assert len(side["windows"]) == 4
 
+    @pytest.mark.parametrize("command", [["denoise", "--method", "baf"], ["estimate-motion"]])
+    def test_event_on_rounded_window_boundary(self, tmp_path, command):
+        # (0.814 - 0.064) / 0.25 floors to 3, but 0.064 + 3 * 0.25 rounds
+        # above 0.814
+        p = tmp_path / "in.csv"
+        p.write_text("x,y,t,p\n1,1,0.064,1\n2,2,0.814,-1\n")
+        out = tmp_path / ("o.evj" if command[0] == "denoise" else "o.csv")
+        assert run(*command, "-i", str(p), "-o", str(out), "--geometry", "8x8",
+                   "--window-ms", "250") == 0
+        if command[0] == "denoise":
+            side = json.loads(out.with_name("o.evj.json").read_text())
+            bounds = [(w["t_start"], w["t_end"]) for w in side["windows"]]
+            assert len(bounds) == 2
+            assert all(lo <= t <= hi for t, (lo, hi) in zip((0.064, 0.814), bounds))
+
     def test_json_log_traces(self, synth_file, tmp_path, capsys):
         out = tmp_path / "out.evj"
         assert run("denoise", "-i", str(synth_file), "-o", str(out),

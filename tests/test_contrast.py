@@ -85,20 +85,6 @@ class TestSmoothMap:
         assert np.unravel_index(m.values.argmax(), m.values.shape) == (7, 5)
         assert hard.values[7, 5] == 1
 
-    def test_numpy_fallback_matches_numba(self, monkeypatch):
-        if not contrast._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(2)
-        pos = rng.uniform(-2, 18, (300, 2))
-        coef = rng.normal(size=G16.shape)
-        fast = contrast._splat(pos, G16, 1.0)
-        fast_grad = fast.position_gradient(coef)
-        monkeypatch.setattr(contrast, "_HAVE_NUMBA", False)
-        slow = contrast._splat(pos, G16, 1.0)
-        slow_grad = slow.position_gradient(coef)
-        assert np.allclose(fast.values, slow.values, atol=1e-13)
-        assert np.allclose(fast_grad, slow_grad, atol=1e-13)
-
     @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -168,7 +154,6 @@ def _assert_numpy_kernel_matches_oracle(pos, g, s, chunk_taps):
                     grad[k, 0] += coef[i, j] * wk * dx / (s * s)
                     grad[k, 1] += coef[i, j] * wk * dy / (s * s)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contrast, "_HAVE_NUMBA", False)
         mp.setattr(contrast, "_CHUNK_TAPS", chunk_taps)
         cache = contrast.SplatCache(pos, g, s)
         got = cache.position_gradient(coef)

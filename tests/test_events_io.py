@@ -251,17 +251,21 @@ class TestWindowing:
     def test_empty_stream(self):
         assert window_stream(Events.empty(), SensorGeometry(4, 4), FixedDuration(0.1)) == []
 
-    @pytest.mark.parametrize("policy", [FixedDuration(0.13), FixedCount(37)])
+    @pytest.mark.parametrize("policy", [FixedDuration(0.13), FixedCount(37), FixedDuration(0.25)])
     def test_partition_properties(self, policy):
         rng = np.random.default_rng(7)
-        ev = _random_events(rng, 800)
-        wins = window_stream(ev, SensorGeometry(64, 48), policy)
-        assert sum(len(w) for w in wins) == len(ev)
-        merged = Events.concatenate([w.events for w in wins])
-        assert merged == ev  # global ordering preserved, each event exactly once
-        for w in wins:
-            assert w.t_start <= w.t_ref <= w.t_end
-            assert np.all(w.times >= w.t_start) and np.all(w.times <= w.t_end)
+        # the second stream puts an event where floor((t - t0) / 0.25) = 3
+        # while t0 + 3 * 0.25 rounds above t
+        streams = [_random_events(rng, 800),
+                   Events(np.ones(2), np.ones(2), np.array([0.064, 0.814]), np.ones(2, np.int8))]
+        for ev in streams:
+            wins = window_stream(ev, SensorGeometry(64, 48), policy)
+            assert sum(len(w) for w in wins) == len(ev)
+            merged = Events.concatenate([w.events for w in wins])
+            assert merged == ev  # global ordering preserved, each event exactly once
+            for w in wins:
+                assert w.t_start <= w.t_ref <= w.t_end
+                assert np.all(w.times >= w.t_start) and np.all(w.times <= w.t_end)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

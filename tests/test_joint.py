@@ -75,10 +75,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             JointConfig(tau=0.0)
 
-    def test_bad_beta1(self):
-        with pytest.raises(ValueError):
-            JointConfig(adam_beta1=1.0)
-
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             JointConfig(learning_rate_theta=0.0)
