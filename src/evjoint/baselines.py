@@ -9,7 +9,7 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _time_scale, ea_ascent
+from .joint import DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _time_scale
 from .warp import MotionParams
 
 
@@ -81,7 +81,7 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParam
     """Estimate motion by Adam ascent on the alignment variance alone."""
     if len(window) < DEGENERATE_MIN_EVENTS:
         return MotionParams.zero(model)
-    phi, _ = ea_ascent(window, model, cfg, cfg.iterations)
+    phi, _, _ = _descend(window, model, cfg, cfg.iterations, 0.0)
     return MotionParams(model, phi / _time_scale(window))
 
 

@@ -92,17 +92,7 @@ def _sidecar(path, command: str, args: argparse.Namespace, extra: dict) -> None:
         **extra,
     }
     side = Path(str(path) + ".json")
-    side.write_text(json.dumps(record, indent=2, default=_jsonable) + "\n", encoding="utf-8")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
+    side.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
 def _load_stream(path, geometry_flag: str | None, sort: bool):
@@ -350,7 +340,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise CliError(str(exc)) from None
     if not report:
         raise CliError("nothing to evaluate; pass --pred and/or --rmse")
-    text = json.dumps(report, indent=2, default=_jsonable)
+    text = json.dumps(report, indent=2)
     if args.output is not None:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
         _sidecar(args.output, "eval", args, {})

@@ -57,10 +57,6 @@ class ContrastMap:
         if self.values.shape != self.geometry.shape:
             raise ValueError("map shape does not match geometry")
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.values.sum())
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""

@@ -371,8 +371,8 @@ class FixedDuration:
     seconds: float
 
     def __post_init__(self) -> None:
-        if not (self.seconds > 0):
-            raise ValueError("window duration must be positive")
+        if not (0 < self.seconds < np.inf):
+            raise ValueError(f"window duration must be positive and finite, got {self.seconds} s")
 
 
 @dataclass(frozen=True)
@@ -397,29 +397,25 @@ def window_stream(events: Events, geometry: SensorGeometry, policy) -> list[Even
         raise ValueError("events must be sorted by time before windowing")
     if len(events) == 0:
         return []
-    windows: list[EventWindow] = []
     if isinstance(policy, FixedDuration):
         t0 = float(events.t[0])
         idx = np.floor((events.t - t0) / policy.seconds).astype(np.int64)
-        for k in np.unique(idx):
-            chunk = events.take(idx == k)
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))  # idx is non-decreasing
+    elif isinstance(policy, FixedCount):
+        starts = np.arange(0, len(events), policy.count)
+    else:
+        raise TypeError(f"unknown windowing policy {policy!r}")
+    bounds = np.append(starts, len(events))
+    windows: list[EventWindow] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        chunk = events[lo:hi]  # views of the stream's arrays
+        t_start, t_end = float(chunk.t[0]), float(chunk.t[-1])
+        if isinstance(policy, FixedDuration):
             # floor((t - t0) / s) and t0 + k s round independently, so an
             # event on a boundary can fall an ulp outside its window's bounds;
             # widen them to hold it
-            lo = t0 + k * policy.seconds
-            t_start = min(lo, float(chunk.t[0]))
-            t_end = max(lo + policy.seconds, float(chunk.t[-1]))
-            windows.append(
-                EventWindow(chunk, geometry, t_start, t_end, 0.5 * (t_start + t_end))
-            )
-    elif isinstance(policy, FixedCount):
-        for lo in range(0, len(events), policy.count):
-            chunk = events[lo : lo + policy.count]
-            t_start = float(chunk.t[0])
-            t_end = float(chunk.t[-1])
-            windows.append(
-                EventWindow(chunk, geometry, t_start, t_end, 0.5 * (t_start + t_end))
-            )
-    else:
-        raise TypeError(f"unknown windowing policy {policy!r}")
+            edge = t0 + idx[lo] * policy.seconds
+            t_start = min(edge, t_start)
+            t_end = max(edge + policy.seconds, t_end)
+        windows.append(EventWindow(chunk, geometry, t_start, t_end, 0.5 * (t_start + t_end)))
     return windows

@@ -184,15 +184,6 @@ def _resolve_alpha(cfg: JointConfig) -> float:
     return (ALPHA_PEAK_MULTIPLES * peak) ** 2 * cfg.beta
 
 
-def _require_explicit_b_ea(cfg: JointConfig) -> float:
-    if isinstance(cfg.b_ea, ExplicitBaseline):
-        return float(cfg.b_ea.value)
-    raise ValueError(
-        "objective evaluation needs an explicit alignment baseline; "
-        "solve() resolves warm-started baselines before optimizing"
-    )
-
-
 def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool):
     """Objective parts and, optionally, gradients w.r.t. theta and logits.
 
@@ -244,52 +235,61 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
     return parts, dtheta, dlogits
 
 
+def _evaluate_explicit(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
+                       cfg: JointConfig, want_grads: bool):
+    """_evaluate at (theta, conf) with the config's explicit alignment baseline."""
+    if not isinstance(cfg.b_ea, ExplicitBaseline):
+        raise ValueError("objective evaluation needs an explicit alignment baseline; "
+                         "solve() resolves warm-started baselines before optimizing")
+    return _evaluate(window, theta, conf.logits, cfg, _resolve_alpha(cfg), float(cfg.b_ea.value),
+                     _denoise_baseline(window, cfg.sigma), want_grads)
+
+
 def objective(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
               cfg: JointConfig) -> ObjectiveParts:
     """Evaluate the scalarized objective at (theta, conf)."""
-    b_ea = _require_explicit_b_ea(cfg)
-    b_ed = _denoise_baseline(window, cfg.sigma)
-    alpha = _resolve_alpha(cfg)
-    parts, _, _ = _evaluate(window, theta, conf.logits, cfg, alpha, b_ea, b_ed, want_grads=False)
-    return parts
+    return _evaluate_explicit(window, theta, conf, cfg, want_grads=False)[0]
 
 
 def objective_gradients(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
                         cfg: JointConfig) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (d total / d theta, d total / d logits) at (theta, conf)."""
-    b_ea = _require_explicit_b_ea(cfg)
-    b_ed = _denoise_baseline(window, cfg.sigma)
-    alpha = _resolve_alpha(cfg)
-    _, dtheta, dlogits = _evaluate(window, theta, conf.logits, cfg, alpha, b_ea, b_ed, want_grads=True)
+    _, dtheta, dlogits = _evaluate_explicit(window, theta, conf, cfg, want_grads=True)
     return dtheta, dlogits
-
-
-def ea_ascent(window: EventWindow, model: str, cfg: JointConfig,
-              iterations: int, phi0: np.ndarray | None = None):
-    """Adam ascent on the alignment variance alone.
-
-    Works in window-displacement units (pixels across the window span), so
-    the step size is independent of the window duration and of the raw
-    magnitude of the motion parameters. Returns (phi, trace of variances).
-    """
-    tspan = _time_scale(window)
-    phi = np.zeros(model_dim(model)) if phi0 is None else np.asarray(phi0, dtype=np.float64).copy()
-    state = AdamState.zeros_like(phi)
-    trace: list[float] = []
-    for it in range(iterations):
-        # Adam minimizes the regret 0 - f_ea, so it ascends f_ea
-        parts, dtheta, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
-                                     math.nan, 0.0, math.nan, want_grads=True)
-        if not np.isfinite(parts.f_ea):
-            raise NonFiniteObjective(f"non-finite alignment objective at iteration {it}")
-        trace.append(parts.f_ea)
-        phi, state = adam_step(phi, dtheta / tspan, state, cfg.learning_rate_theta)
-    return phi, trace
 
 
 def _time_scale(window: EventWindow) -> float:
     span = window.t_end - window.t_start
     return span if span > 0 else 1.0
+
+
+def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
+             logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
+             phi: np.ndarray | None = None):
+    """Full-batch Adam descent on the objective from phi (zero motion if None).
+
+    Works in window-displacement units (pixels across the window span), so
+    the step size is independent of the window duration and of the raw
+    magnitude of the motion parameters. With logits=None only the alignment
+    regret b_ea - f_ea is descended, which ascends f_ea; otherwise the
+    logits are stepped after phi. Returns (phi, logits, trace of parts).
+    """
+    tspan = _time_scale(window)
+    if phi is None:
+        phi = np.zeros(model_dim(model))
+    state_phi = AdamState.zeros_like(phi)
+    state_log = None if logits is None else AdamState.zeros_like(logits)
+    trace: list[ObjectiveParts] = []
+    for it in range(iterations):
+        parts, dtheta, dlogits = _evaluate(window, MotionParams(model, phi / tspan), logits, cfg,
+                                           alpha, b_ea, b_ed, want_grads=True)
+        if not np.isfinite(parts.total):
+            raise NonFiniteObjective(f"non-finite objective at iteration {it}")
+        trace.append(parts)
+        phi, state_phi = adam_step(phi, dtheta / tspan, state_phi, cfg.learning_rate_theta)
+        if logits is not None:
+            logits, state_log = adam_step(logits, dlogits, state_log, cfg.learning_rate_logits)
+    return phi, logits, trace
 
 
 def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) -> JointResult:
@@ -314,30 +314,17 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
                            np.zeros(len(window), dtype=bool), b_ed=b_ed, alpha=alpha)
 
     tspan = _time_scale(window)
-    warm_trace: list[float] = []
+    phi, warm_trace = None, []
     if isinstance(cfg.b_ea, WarmStartScaled):
-        phi, warm_trace = ea_ascent(window, model, cfg, cfg.iterations // 2)
-        warm, _, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
-                               math.nan, 0.0, math.nan, want_grads=False)
-        b_ea = cfg.b_ea.kappa * warm.f_ea
+        phi, _, warm = _descend(window, model, cfg, cfg.iterations // 2, 0.0)
+        warm_trace = [p.f_ea for p in warm]
+        end, _, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
+                              math.nan, 0.0, math.nan, want_grads=False)
+        b_ea = cfg.b_ea.kappa * end.f_ea
     else:
-        phi = np.zeros(model_dim(model))
         b_ea = float(cfg.b_ea.value)
-
-    logits = np.zeros(window.geometry.shape)
-    state_phi = AdamState.zeros_like(phi)
-    state_log = AdamState.zeros_like(logits)
-    trace: list[ObjectiveParts] = []
-    for it in range(cfg.iterations):
-        theta = MotionParams(model, phi / tspan)
-        parts, dtheta, dlogits = _evaluate(
-            window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=True
-        )
-        if not np.isfinite(parts.total):
-            raise NonFiniteObjective(f"non-finite objective at iteration {it}")
-        trace.append(parts)
-        phi, state_phi = adam_step(phi, dtheta / tspan, state_phi, cfg.learning_rate_theta)
-        logits, state_log = adam_step(logits, dlogits, state_log, cfg.learning_rate_logits)
+    phi, logits, trace = _descend(window, model, cfg, cfg.iterations, b_ea,
+                                  np.zeros(window.geometry.shape), alpha, b_ed, phi)
 
     theta = MotionParams(model, phi / tspan)
     final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False)

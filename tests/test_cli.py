@@ -156,6 +156,16 @@ class TestPipeline:
             assert len(bounds) == 2
             assert all(lo <= t <= hi for t, (lo, hi) in zip((0.064, 0.814), bounds))
 
+    @pytest.mark.parametrize("command", [["denoise", "--method", "baf"], ["estimate-motion"]])
+    def test_infinite_window_duration_exits_two(self, tmp_path, capsys, command):
+        p = tmp_path / "in.csv"
+        p.write_text("x,y,t,p\n1,1,0.064,1\n2,2,0.814,-1\n")
+        assert run(*command, "-i", str(p), "-o", str(tmp_path / "o.evj"), "--geometry", "8x8",
+                   "--window-ms", "inf") == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "window duration" in err and "inf" in err
+
     def test_json_log_traces(self, synth_file, tmp_path, capsys):
         out = tmp_path / "out.evj"
         assert run("denoise", "-i", str(synth_file), "-o", str(out),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -264,11 +265,14 @@ class TestWindowing:
             merged = Events.concatenate([w.events for w in wins])
             assert merged == ev  # global ordering preserved, each event exactly once
             for w in wins:
+                assert np.shares_memory(w.events.t, ev.t)
                 assert w.t_start <= w.t_ref <= w.t_end
                 assert np.all(w.times >= w.t_start) and np.all(w.times <= w.t_end)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             FixedDuration(0.0)
+        with pytest.raises(ValueError, match="window duration"):
+            FixedDuration(math.inf)
         with pytest.raises(ValueError):
             FixedCount(0)

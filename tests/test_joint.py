@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from evjoint.baselines import cmax_solve
 from evjoint.contrast import ConfidenceMap, sigmoid, smooth_map
 from evjoint.events import Events, EventWindow, SensorGeometry
 from evjoint.joint import (
+    KAPPA_DEFAULT,
     AdamState,
     ExplicitBaseline,
     JointConfig,
@@ -304,6 +306,18 @@ class TestSolve:
         assert np.array_equal(r1.theta.values, r2.theta.values)
         assert np.array_equal(r1.conf.logits, r2.conf.logits)
         assert np.array_equal(r1.labels, r2.labels)
+
+    def test_warm_baseline_is_kappa_times_cmax_variance(self):
+        # the warm start is the alignment-only ascent that cmax_solve runs,
+        # for half the iterations
+        spec = SceneSpec(SensorGeometry(32, 32), Dot((12.0, 16.0), 4.0),
+                         MotionParams.translation(30.0, 10.0), 0.15)
+        window, _, _ = generate(spec, seed=0)
+        res = solve(window, JointConfig(iterations=40))
+        theta = cmax_solve(window, "translation2d", JointConfig(iterations=20))
+        f_ea = objective(window, theta, ConfidenceMap.zeros(window.geometry),
+                         JointConfig(b_ea=ExplicitBaseline(0.0))).f_ea
+        assert res.b_ea == KAPPA_DEFAULT * f_ea
 
     def test_recovers_motion_and_labels_noise(self):
         spec = SceneSpec(SensorGeometry(48, 48), Dot((16.0, 24.0), 6.0),
