@@ -399,6 +399,9 @@ def window_stream(events: Events, geometry: SensorGeometry, policy) -> list[Even
         return []
     if isinstance(policy, FixedDuration):
         t0 = float(events.t[0])
+        if not (float(events.t[-1]) - t0) / policy.seconds < 2.0**53:
+            raise ValueError(f"window duration {policy.seconds} s splits the stream into "
+                             "more windows than a float64 index holds exactly")
         idx = np.floor((events.t - t0) / policy.seconds).astype(np.int64)
         starts = np.flatnonzero(np.diff(idx, prepend=-1))  # idx is non-decreasing
     elif isinstance(policy, FixedCount):

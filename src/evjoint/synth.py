@@ -68,8 +68,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.motion.model != TRANSLATION_2D:
             raise ValueError("synthetic scenes support the translation model only")
-        if not (self.duration > 0):
-            raise ValueError("duration must be positive")
+        if not (0 < self.duration < math.inf):
+            raise ValueError(f"duration must be positive and finite, got {self.duration} s")
         if not (self.contrast > 0):
             raise ValueError("contrast threshold must be positive")
         if not (0.0 <= self.noise_rate < 1.0):
@@ -114,22 +114,22 @@ def _pattern_emitters(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"unknown pattern {pat!r}")
 
 
-def _axis_crossings(q0: float, v: float, duration: float) -> np.ndarray:
-    """Times in (0, duration] at which q0 + v t crosses an integer lattice."""
-    if v == 0.0:
-        return np.empty(0)
-    q1 = q0 + v * duration
+def _axis_crossings(q0: np.ndarray, v: float, duration: float) -> tuple[np.ndarray, np.ndarray]:
+    """(emitter index, time) of each integer crossing of q0 + v t in (0, duration]."""
+    q1 = q0 + float(v) * duration  # a Python float overflows to inf silently
     if v > 0.0:
-        first = math.floor(q0) + 1
-        last = math.floor(q1)
-    else:
-        first = math.ceil(q1)
-        last = math.ceil(q0) - 1
-    if last < first:
-        return np.empty(0)
-    lattice = np.arange(first, last + 1, dtype=np.float64)
-    times = (lattice - q0) / v
-    return times[(times > 0.0) & (times <= duration)]
+        first, last = np.floor(q0) + 1.0, np.floor(q1)
+    else:  # v == 0 gives last < first: no crossings
+        first, last = np.ceil(q1), np.ceil(q0) - 1.0
+    counts = np.maximum(last - first + 1.0, 0.0)
+    if not counts.sum() < 2.0**63:
+        raise ValueError(f"motion {v} px/s over {duration} s crosses too many pixels to index")
+    emitter = np.repeat(np.arange(len(q0)), counts.astype(np.int64))
+    # each emitter's first + 0, 1, ...; integer-valued floats below 2**53 add exactly
+    lattice = np.arange(emitter.size) + (first - np.cumsum(counts) + counts)[emitter]
+    times = (lattice - q0[emitter]) / v
+    keep = (times > 0.0) & (times <= duration)
+    return emitter[keep], times[keep]
 
 
 def _signal_events(spec: SceneSpec) -> Events:
@@ -139,26 +139,15 @@ def _signal_events(spec: SceneSpec) -> Events:
     g = spec.geometry
     vx, vy = spec.motion.values
     emitters, pol = _pattern_emitters(spec)
-    xs, ys, ts, ps = [], [], [], []
-    for (qx, qy), p in zip(emitters, pol):
-        times = np.concatenate(
-            [_axis_crossings(qx, vx, spec.duration), _axis_crossings(qy, vy, spec.duration)]
-        )
-        if times.size == 0:
-            continue
-        ex = qx + vx * times
-        ey = qy + vy * times
-        inside = (ex >= 0.0) & (ex < g.width) & (ey >= 0.0) & (ey < g.height)
-        xs.append(ex[inside])
-        ys.append(ey[inside])
-        ts.append(times[inside])
-        ps.append(np.full(int(inside.sum()), p, dtype=np.int8))
-    if not xs:
-        return Events.empty()
-    return Events(
-        np.concatenate(xs), np.concatenate(ys), np.concatenate(ts), np.concatenate(ps),
-        validate=False,
-    )
+    ix, tx = _axis_crossings(emitters[:, 0], vx, spec.duration)
+    iy, ty = _axis_crossings(emitters[:, 1], vy, spec.duration)
+    emitter, times = np.concatenate([ix, iy]), np.concatenate([tx, ty])
+    order = np.argsort(emitter, kind="stable")  # each emitter's x crossings stay first
+    emitter, times = emitter[order], times[order]
+    ex = emitters[emitter, 0] + vx * times
+    ey = emitters[emitter, 1] + vy * times
+    inside = (ex >= 0.0) & (ex < g.width) & (ey >= 0.0) & (ey < g.height)
+    return Events(ex[inside], ey[inside], times[inside], pol[emitter[inside]], validate=False)
 
 
 def _noise_count(n_signal: int, rate: float) -> int:

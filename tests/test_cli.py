@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from evjoint import cli
 from evjoint.cli import main
 from evjoint.events import read_events
 
@@ -69,6 +70,11 @@ class TestSynth:
                    "--motion=-10,0", "--duration", "0.1",
                    "-o", str(tmp_path / "x.evj"))
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--duration=inf", "--duration=1e30", "--motion=1e300,0"])
+    def test_unbounded_scene_exits_two(self, tmp_path, capsys, flag):
+        assert run("synth", flag, "-o", str(tmp_path / "x.evj")) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class TestPipeline:
@@ -165,6 +171,42 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "window duration" in err and "inf" in err
+
+    @pytest.mark.parametrize("command", [["denoise", "--method", "baf"], ["estimate-motion"]])
+    def test_window_index_overflow_exits_two(self, tmp_path, capsys, command):
+        p = tmp_path / "in.csv"
+        p.write_text("x,y,t,p\n1,1,0.064,1\n2,2,0.814,-1\n3,3,0.9,1\n")
+        assert run(*command, "-i", str(p), "-o", str(tmp_path / "o.evj"), "--geometry", "8x8",
+                   "--window-ms", "1e-300") == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "window duration" in err
+
+    @pytest.mark.parametrize("method,name", [("joint", "solve"), ("baf", "baf_filter")])
+    def test_one_method_call_per_window(self, tmp_path, monkeypatch, method, name):
+        # the benchmark times each window by wrapping these two names in `cli`
+        src = tmp_path / "long.evj"
+        assert run("synth", "--pattern", "dot", "--center", "20,32", "--radius", "6",
+                   "--geometry", "64x64", "--motion", "30,10", "--duration", "0.4",
+                   "--noise-rate", "0.1", "--seed", "1", "-o", str(src)) == 0
+        calls = {"solve": 0, "baf_filter": 0}
+
+        def counting(key):
+            fn = getattr(cli, key)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for key in calls:
+            monkeypatch.setattr(cli, key, counting(key))
+        out = tmp_path / "out.evj"
+        assert run("denoise", "-i", str(src), "-o", str(out), "--window-ms", "100",
+                   "--method", method, "--iters", "4") == 0
+        windows = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
+        assert len(windows) == 4
+        assert calls == {"solve": 0, "baf_filter": 0, name: len(windows)}
 
     def test_json_log_traces(self, synth_file, tmp_path, capsys):
         out = tmp_path / "out.evj"

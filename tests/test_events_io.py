@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,13 @@ class TestWindowing:
                 assert np.shares_memory(w.events.t, ev.t)
                 assert w.t_start <= w.t_ref <= w.t_end
                 assert np.all(w.times >= w.t_start) and np.all(w.times <= w.t_end)
+
+    def test_window_index_overflow_rejected(self):
+        ev = Events(np.ones(3), np.ones(3), np.array([0.064, 0.814, 0.9]), np.ones(3, np.int8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="window duration"):
+                window_stream(ev, SensorGeometry(8, 8), FixedDuration(1e-303))
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

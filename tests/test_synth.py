@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from evjoint.contrast import hard_map, map_variance
-from evjoint.events import SensorGeometry
-from evjoint.synth import Dot, MultiEdge, SceneSpec, VerticalEdge, generate
+from evjoint.events import Events, SensorGeometry
+from evjoint.synth import (Dot, MultiEdge, SceneSpec, VerticalEdge, _pattern_emitters,
+                           _signal_events, generate)
 from evjoint.warp import MotionParams, warp
 
 G64 = SensorGeometry(64, 64)
@@ -112,3 +115,64 @@ def test_noise_rate_validation():
     with pytest.raises(ValueError):
         SceneSpec(G64, VerticalEdge(1.0), MotionParams.translation(1.0, 0.0), 0.1,
                   noise_rate=1.0)
+
+
+def test_duration_must_be_finite():
+    with pytest.raises(ValueError, match="duration"):
+        SceneSpec(G64, VerticalEdge(1.0), MotionParams.translation(1.0, 0.0), math.inf)
+
+
+def _reference_axis_crossings(q0: float, v: float, duration: float) -> np.ndarray:
+    """Scalar reference: times in (0, duration] at which q0 + v t crosses an integer."""
+    if v == 0.0:
+        return np.empty(0)
+    q1 = q0 + v * duration
+    if v > 0.0:
+        first = math.floor(q0) + 1
+        last = math.floor(q1)
+    else:
+        first = math.ceil(q1)
+        last = math.ceil(q0) - 1
+    if last < first:
+        return np.empty(0)
+    lattice = np.arange(first, last + 1, dtype=np.float64)
+    times = (lattice - q0) / v
+    return times[(times > 0.0) & (times <= duration)]
+
+
+def _reference_signal_events(spec: SceneSpec) -> Events:
+    """Scalar reference: one emitter at a time, x crossings before y crossings."""
+    g = spec.geometry
+    vx, vy = spec.motion.values
+    emitters, pol = _pattern_emitters(spec)
+    xs, ys, ts, ps = [], [], [], []
+    for (qx, qy), p in zip(emitters, pol):
+        times = np.concatenate([_reference_axis_crossings(qx, vx, spec.duration),
+                                _reference_axis_crossings(qy, vy, spec.duration)])
+        ex = qx + vx * times
+        ey = qy + vy * times
+        inside = (ex >= 0.0) & (ex < g.width) & (ey >= 0.0) & (ey < g.height)
+        xs.append(ex[inside])
+        ys.append(ey[inside])
+        ts.append(times[inside])
+        ps.append(np.full(int(inside.sum()), p, dtype=np.int8))
+    return Events(np.concatenate(xs), np.concatenate(ys), np.concatenate(ts),
+                  np.concatenate(ps), validate=False)
+
+
+@pytest.mark.parametrize("geometry", [G64, SensorGeometry(33, 17)], ids=["64x64", "33x17"])
+@pytest.mark.parametrize("duration", [0.05, 0.2])
+@pytest.mark.parametrize("velocity", [(0.0, 0.0), (0.0, -15.0), (-30.0, 10.0), (-0.3, 0.7),
+                                      (60.0, -20.0)])
+@pytest.mark.parametrize("pattern", [
+    VerticalEdge(10.0), VerticalEdge(3.7),
+    Dot((12.0, 8.0), 1.5), Dot((16.5, 8.25), 4.0), Dot((20.0, 10.0), 9.0),
+    MultiEdge(4.0), MultiEdge(6.5), MultiEdge(8.0),
+], ids=repr)
+def test_signal_events_match_scalar_reference(geometry, duration, velocity, pattern):
+    spec = SceneSpec(geometry, pattern, MotionParams.translation(*velocity), duration)
+    got = _signal_events(spec)
+    want = _reference_signal_events(spec)
+    for name in ("x", "y", "t", "p"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
