@@ -3,7 +3,7 @@ their sequential combination."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,18 +85,20 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParam
     return MotionParams(model, phi / _time_scale(window))
 
 
+def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:
+    """A density filter's labels `keep` with motion theta; the confidence map
+    is the binary mask of pixels holding at least one kept event."""
+    kept_mask = hard_map(window.positions[keep], window.geometry).values > 0
+    return JointResult(theta, ConfidenceMap.from_weights_mask(kept_mask), keep)
+
+
 def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig,
                         cmax_cfg: JointConfig, model: str = "translation2d") -> JointResult:
     """Denoise first, then estimate motion on the kept subset.
 
-    Labels come from the density filter; motion from contrast maximization
-    over the kept events only; the confidence map is the binary mask of
-    pixels holding at least one kept event.
+    Labels come from the density filter and motion from contrast
+    maximization over the kept events only (see `kept_result`).
     """
     keep = baf_filter(window, baf_cfg)
-    kept_window = EventWindow(
-        window.events.take(keep), window.geometry, window.t_start, window.t_end, window.t_ref
-    )
-    theta = cmax_solve(kept_window, model, cmax_cfg)
-    kept_mask = hard_map(kept_window.positions, window.geometry).values > 0
-    return JointResult(theta, ConfidenceMap.from_weights_mask(kept_mask), keep)
+    kept_window = replace(window, events=window.events.take(keep))
+    return kept_result(window, keep, cmax_solve(kept_window, model, cmax_cfg))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import BafConfig, baf_filter, cmax_solve, sequential_pipeline
+from .baselines import BafConfig, baf_filter, cmax_solve, kept_result, sequential_pipeline
 from .contrast import ConfidenceMap, hard_map, smooth_map
 from .events import (
     Events,
@@ -77,7 +77,8 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log", choices=("text", "json"), default="text",
-                        help="per-iteration trace format on stdout")
+                        help="per-iteration trace on stdout: json prints one object per "
+                             "iteration, text prints none")
     parser.add_argument("--threads", type=int, default=1,
                         help="inner parallelism bound (recorded; reductions stay deterministic)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
@@ -109,14 +110,11 @@ def _make_windows(events: Events, geometry: SensorGeometry,
                   window_ms: float | None, window_count: int | None) -> list[EventWindow]:
     if window_ms is not None and window_count is not None:
         raise CliError("--window-ms and --window-count are mutually exclusive")
-    if len(events) == 0:
-        return []
     if window_ms is not None:
-        return window_stream(events, geometry, FixedDuration(window_ms / 1000.0))
-    if window_count is not None:
-        return window_stream(events, geometry, FixedCount(window_count))
-    t0, t1 = float(events.t[0]), float(events.t[-1])
-    return [EventWindow(events, geometry, t0, t1, 0.5 * (t0 + t1))]
+        policy = FixedDuration(window_ms / 1000.0)
+    else:  # default: the whole stream is one window
+        policy = FixedCount(window_count if window_count is not None else max(len(events), 1))
+    return window_stream(events, geometry, policy)
 
 
 def _joint_config(args: argparse.Namespace) -> JointConfig:
@@ -158,17 +156,32 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
                         help="sort events by time instead of rejecting unsorted input")
 
 
-def _emit_trace(mode: str, window_index: int, trace) -> None:
-    if mode == "json":
-        for i, p in enumerate(trace):
-            print(json.dumps({
-                "window": window_index, "iter": i, "f_ea": p.f_ea, "f_ed": p.f_ed,
-                "r_ea": p.r_ea, "r_ed": p.r_ed, "worst_regret": p.worst_regret,
-                "total": p.total,
-            }))
+def _solve_windows(args: argparse.Namespace, method):
+    """Load and window the input; return (events, geometry, solved), where
+    solved yields (window, method(window)) one window at a time, after its
+    `--log json` trace and its log line are out."""
+    events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
+    windows = _make_windows(events, geometry, args.window_ms, args.window_count)
+
+    def solved():
+        for i, w in enumerate(windows):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = method(w)
+            if args.log == "json":
+                for k, p in enumerate(res.trace):
+                    print(json.dumps({"window": i, "iter": k, "f_ea": p.f_ea, "f_ed": p.f_ed,
+                                      "r_ea": p.r_ea, "r_ed": p.r_ed,
+                                      "worst_regret": p.worst_regret, "total": p.total}))
+            logger.info("window %d: %d/%d kept, theta=%s", i, int(res.labels.sum()),
+                        len(w), np.round(res.theta.values, 3).tolist())
+            yield w, res
+
+    return events, geometry, solved()
 
 
-def _window_record(w: EventWindow, res, n_kept: int) -> dict:
+def _window_record(w: EventWindow, res: JointResult) -> dict:
+    n_kept = int(res.labels.sum())
     rec = {
         "t_start": w.t_start, "t_end": w.t_end, "t_ref": w.t_ref,
         "model": res.theta.model, "theta": res.theta.values.tolist(),
@@ -211,32 +224,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
-    windows = _make_windows(events, geometry, args.window_ms, args.window_count)
     cfg = _joint_config(args)
     baf_cfg = BafConfig(dt_max=args.baf_dt_max / 1000.0, radius=args.baf_radius,
                         min_support=args.baf_min_support)
-    labels_out = []
-    records = []
-    confidences = []
-    for i, w in enumerate(windows):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if args.method == "joint":
-                res = solve(w, cfg, model=args.model)
-            elif args.method == "baf":
-                keep = baf_filter(w, baf_cfg)
-                kept_mask = hard_map(w.positions[keep], geometry).values > 0
-                res = JointResult(MotionParams.zero(args.model),
-                                  ConfidenceMap.from_weights_mask(kept_mask), keep)
-            else:  # cmax-seq
-                res = sequential_pipeline(w, baf_cfg, cfg, model=args.model)
+    method = {
+        "joint": lambda w: solve(w, cfg, model=args.model),
+        "baf": lambda w: kept_result(w, baf_filter(w, baf_cfg), MotionParams.zero(args.model)),
+        "cmax-seq": lambda w: sequential_pipeline(w, baf_cfg, cfg, model=args.model),
+    }[args.method]
+    events, geometry, solved = _solve_windows(args, method)
+    labels_out, records, confidences = [], [], []
+    for w, res in solved:
         labels_out.append(res.labels)
         confidences.append(interpolate_confidence(res.conf.weights, warp(w, res.theta)))
-        _emit_trace(args.log, i, res.trace)
-        records.append(_window_record(w, res, int(res.labels.sum())))
-        logger.info("window %d: %d/%d kept, theta=%s", i, int(res.labels.sum()),
-                    len(w), np.round(res.theta.values, 3).tolist())
+        records.append(_window_record(w, res))
     labels = np.concatenate(labels_out) if labels_out else np.zeros(0, dtype=bool)
     write_events(events, args.output, labels=labels, geometry=geometry)
     _sidecar(args.output, "denoise", args, {
@@ -248,29 +249,20 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_motion(args: argparse.Namespace) -> int:
-    events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
-    windows = _make_windows(events, geometry, args.window_ms, args.window_count)
     cfg = _joint_config(args)
+    method = {
+        "joint": lambda w: solve(w, cfg, model=args.model),
+        "cmax": lambda w: JointResult(cmax_solve(w, args.model, cfg),
+                                      ConfidenceMap.zeros(w.geometry),
+                                      np.zeros(len(w), dtype=bool)),
+    }[args.method]
+    _, _, solved = _solve_windows(args, method)
+    records = [{"t_ref": w.t_ref, "theta": res.theta.values.tolist()} for w, res in solved]
     names = {"translation2d": ["vx", "vy"], "rotation_inplane": ["omega"]}[args.model]
-    rows = []
-    records = []
-    for i, w in enumerate(windows):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if args.method == "cmax":
-                theta = cmax_solve(w, args.model, cfg)
-                trace = []
-            else:
-                res = solve(w, cfg, model=args.model)
-                theta, trace = res.theta, res.trace
-        _emit_trace(args.log, i, trace)
-        rows.append((w.t_ref, theta.values))
-        records.append({"t_ref": w.t_ref, "theta": theta.values.tolist()})
-        logger.info("window %d: theta=%s", i, np.round(theta.values, 3).tolist())
     with open(args.output, "w", encoding="utf-8") as f:
         f.write("t_ref," + ",".join(names) + "\n")
-        for t_ref, vals in rows:
-            f.write(",".join([repr(float(t_ref))] + [repr(float(v)) for v in vals]) + "\n")
+        for rec in records:
+            f.write(",".join(repr(float(v)) for v in [rec["t_ref"], *rec["theta"]]) + "\n")
     _sidecar(args.output, "estimate-motion", args, {"windows": records})
     return EXIT_OK
 
@@ -349,14 +341,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_pgm(path, grid: np.ndarray) -> None:
-    h, w = grid.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(grid.astype(np.uint8).tobytes())
-
-
 def cmd_render(args: argparse.Namespace) -> int:
+    if Path(args.output).suffix.lower() != ".pgm":
+        raise CliError(f"render writes PGM images; give -o a .pgm path, not {args.output!r}")
     events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
     t0 = float(events.t[0]) if len(events) else 0.0
     t1 = float(events.t[-1]) if len(events) else 0.0
@@ -375,15 +362,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         values = smooth_map(positions, geometry, args.sigma).values
     peak = values.max()
     grid = np.zeros_like(values) if peak <= 0 else np.round(values / peak * 255.0)
-    suffix = Path(args.output).suffix.lower()
-    if suffix == ".png":
-        try:
-            from PIL import Image
-        except ImportError as exc:  # pragma: no cover
-            raise CliError("PNG output needs Pillow; use a .pgm path instead") from exc
-        Image.fromarray(grid.astype(np.uint8), mode="L").save(args.output)
-    else:
-        _write_pgm(args.output, grid)
+    with open(args.output, "wb") as f:
+        f.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"))
+        f.write(grid.astype(np.uint8).tobytes())
     _sidecar(args.output, "render", args, {"peak_mass": float(peak)})
     return EXIT_OK
 

@@ -84,9 +84,9 @@ class ConfidenceMap:
         return cls(np.zeros(geometry.shape))
 
     @classmethod
-    def from_weights_mask(cls, mask: np.ndarray, logit_scale: float = 1000.0) -> "ConfidenceMap":
+    def from_weights_mask(cls, mask: np.ndarray) -> "ConfidenceMap":
         # +-1000 saturates the logistic to exactly 1.0 / 0.0 in float64
-        return cls(np.where(mask, logit_scale, -logit_scale))
+        return cls(np.where(mask, 1000.0, -1000.0))
 
     @property
     def weights(self) -> np.ndarray:

@@ -293,21 +293,15 @@ def _parse_binary(path) -> LoadedStream:
     return LoadedStream(events, labels, geometry)
 
 
-def read_events(path, fmt: str | None = None, sort: bool = False) -> LoadedStream:
+def read_events(path, sort: bool = False) -> LoadedStream:
     """Read an event stream from a CSV or binary file.
 
     Timestamps must be non-decreasing; pass ``sort=True`` to stable-sort
     instead of rejecting. Labels and geometry are returned when the file
     carries them (binary always has geometry, CSV never does).
     """
-    fmt = fmt or detect_format(path)
-    if fmt == "csv":
-        loaded = _parse_csv(path)
-    elif fmt == "binary":
-        loaded = _parse_binary(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    events, labels, geometry = loaded
+    parse = _parse_csv if detect_format(path) == "csv" else _parse_binary
+    events, labels, geometry = parse(path)
     if not events.is_time_sorted():
         if not sort:
             raise FormatError(f"{path}: timestamps are not non-decreasing (use sort=True)")
@@ -322,7 +316,6 @@ def write_events(
     path,
     labels: np.ndarray | None = None,
     geometry: SensorGeometry | None = None,
-    fmt: str | None = None,
 ) -> None:
     """Write an event stream to CSV or binary.
 
@@ -333,10 +326,7 @@ def write_events(
         labels = np.asarray(labels, dtype=bool)
         if labels.shape[0] != len(events):
             raise ValueError("labels must parallel the event list")
-    if fmt is None:
-        ext = Path(path).suffix.lower()
-        fmt = "csv" if ext in (".csv", ".txt") else "binary"
-    if fmt == "csv":
+    if Path(path).suffix.lower() in (".csv", ".txt"):
         with open(path, "w", encoding="utf-8") as f:
             f.write("x,y,t,p,label\n" if labels is not None else "x,y,t,p\n")
             for i in range(len(events)):
@@ -347,7 +337,7 @@ def write_events(
                 if labels is not None:
                     row += f",{int(labels[i])}"
                 f.write(row + "\n")
-    elif fmt == "binary":
+    else:
         if geometry is None:
             raise ValueError("binary format requires sensor geometry")
         records = np.empty(len(events), dtype=_EVENT_DTYPE)
@@ -360,8 +350,6 @@ def write_events(
             f.write(BINARY_MAGIC)
             f.write(struct.pack("<IIQ", geometry.width, geometry.height, len(events)))
             records.tofile(f)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,9 @@ ALPHA_PEAK_MULTIPLES = 2.5
 
 KAPPA_DEFAULT = 1.1
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class NonFiniteObjective(RuntimeError):
     """The objective became NaN or infinite during the ascent."""
@@ -125,18 +128,17 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params), 0)
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update. Returns (new params, new state)."""
     grads = np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient passed to adam_step")
     step = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(m, v, step)
 
 

@@ -6,6 +6,10 @@ each time it enters a new pixel cell, provided the pattern's log-brightness
 step clears the contrast threshold. That yields events lying exactly on the
 moving edge, full ground truth per event, and a known collapsing motion.
 Noise events are uniform over the sensor and the time span.
+
+A scene may cross at most MAX_AXIS_CROSSINGS = 10**7 pixel lines per axis
+over all emitters, inside the sensor or not (about 40 B of working memory
+each); a larger one raises ValueError before any crossing is allocated.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from .warp import TRANSLATION_2D, MotionParams
 
 # log-brightness amplitude of the idealized two-level pattern
 PROFILE_STEP = 1.0
+
+MAX_AXIS_CROSSINGS = 10**7
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,10 @@ def _axis_crossings(q0: np.ndarray, v: float, duration: float) -> tuple[np.ndarr
     else:  # v == 0 gives last < first: no crossings
         first, last = np.ceil(q1), np.ceil(q0) - 1.0
     counts = np.maximum(last - first + 1.0, 0.0)
-    if not counts.sum() < 2.0**63:
-        raise ValueError(f"motion {v} px/s over {duration} s crosses too many pixels to index")
+    total = counts.sum()
+    if not total <= MAX_AXIS_CROSSINGS:
+        raise ValueError(f"motion {v} px/s over {duration} s crosses {total:.3g} pixel lines "
+                         f"on one axis, above the limit of {MAX_AXIS_CROSSINGS:.0e}")
     emitter = np.repeat(np.arange(len(q0)), counts.astype(np.int64))
     # each emitter's first + 0, 1, ...; integer-valued floats below 2**53 add exactly
     lattice = np.arange(emitter.size) + (first - np.cumsum(counts) + counts)[emitter]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from evjoint import cli
+from evjoint.baselines import cmax_solve
 from evjoint.cli import main
-from evjoint.events import read_events
+from evjoint.events import FixedDuration, read_events, window_stream
+from evjoint.joint import JointConfig
 
 
 def run(*argv):
@@ -54,6 +56,18 @@ class TestDispatch:
         assert "mutually exclusive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--window-ms=-5", "--window-ms=nan", "--window-count=0"])
+    @pytest.mark.parametrize("body", ["x,y,t,p\n", "x,y,t,p\n1,1,0.1,1\n"],
+                             ids=["header-only", "one-event"])
+    @pytest.mark.parametrize("command", [["denoise", "--method", "baf"], ["estimate-motion"]])
+    def test_invalid_window_flag_exits_two(self, tmp_path, capsys, command, body, flag):
+        p = tmp_path / "in.csv"
+        p.write_text(body)
+        out = tmp_path / "o.out"
+        assert run(*command, "-i", str(p), "-o", str(out), "--geometry", "8x8", flag) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_labeled_binary_and_sidecar(self, synth_file):
@@ -71,7 +85,8 @@ class TestSynth:
                    "-o", str(tmp_path / "x.evj"))
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--duration=inf", "--duration=1e30", "--motion=1e300,0"])
+    @pytest.mark.parametrize("flag", ["--duration=inf", "--duration=1e30", "--duration=1e9",
+                                      "--motion=1e300,0"])
     def test_unbounded_scene_exits_two(self, tmp_path, capsys, flag):
         assert run("synth", flag, "-o", str(tmp_path / "x.evj")) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
@@ -127,6 +142,22 @@ class TestPipeline:
         t_ref, vx, vy = (float(v) for v in lines[1].split(","))
         assert abs(vx + 30.0) < 3.0
         assert abs(vy - 10.0) < 3.0
+
+    @pytest.mark.parametrize("model,header", [("translation2d", "t_ref,vx,vy"),
+                                              ("rotation_inplane", "t_ref,omega")])
+    def test_estimate_motion_cmax(self, synth_file, tmp_path, model, header):
+        out = tmp_path / "traj.csv"
+        assert run("estimate-motion", "-i", str(synth_file), "-o", str(out), "--method", "cmax",
+                   "--model", model, "--window-ms", "40", "--iters", "30") == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == header
+        loaded = read_events(synth_file)
+        windows = window_stream(loaded.events, loaded.geometry, FixedDuration(0.04))
+        assert len(lines) == 1 + len(windows) == 4
+        cfg = JointConfig(iterations=30)
+        for line, w in zip(lines[1:], windows):
+            row = [float(v) for v in line.split(",")]
+            assert row == [w.t_ref, *cmax_solve(w, model, cfg).values.tolist()]
 
     def test_rmse_eval(self, synth_file, tmp_path, capsys):
         traj = tmp_path / "traj.csv"
@@ -241,6 +272,13 @@ class TestRender:
     def test_hard_map_render(self, synth_file, tmp_path):
         out = tmp_path / "hard.pgm"
         assert run("render", "-i", str(synth_file), "-o", str(out), "--hard") == 0
+
+    @pytest.mark.parametrize("name", ["map.png", "map"])
+    def test_non_pgm_output_exits_two(self, synth_file, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert run("render", "-i", str(synth_file), "-o", str(out)) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestReproducibility:

@@ -196,7 +196,7 @@ class TestBinary:
 
     def test_requires_geometry(self, tmp_path):
         with pytest.raises(ValueError, match="geometry"):
-            write_events(Events.empty(), tmp_path / "x.evj", fmt="binary")
+            write_events(Events.empty(), tmp_path / "x.evj")
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -212,7 +212,7 @@ class TestBinary:
         p = tmp_path / "bad.evj"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError, match="magic"):
-            read_events(p, fmt="binary")
+            read_events(p)
 
     def test_unwritable_path(self, tmp_path):
         ev = Events.empty()

@@ -38,8 +38,7 @@ class TestAdam:
         # bias-corrected first step with g = 1: delta = -lr / (1 + eps)
         params = np.array([0.0])
         lr, eps = 0.05, 1e-8
-        out, _ = adam_step(params, np.array([1.0]), AdamState.zeros_like(params),
-                           lr=lr, eps=eps)
+        out, _ = adam_step(params, np.array([1.0]), AdamState.zeros_like(params), lr=lr)
         assert out[0] == pytest.approx(-lr / (1.0 + eps), abs=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e5])
