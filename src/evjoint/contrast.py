@@ -10,7 +10,7 @@ event and the dropped mass is of order 1e-5 of a unit kernel at sigma = 1.
 
 ``SplatCache`` is the one splat kernel, in numpy: it runs tap-major over
 fixed-size event chunks on a padded map, and the same taps serve the
-position gradient.
+position gradient, writing into the buffers of a ``SplatWork``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ TRUNCATE_SIGMAS = 4.0
 # working memory; much smaller chunks pay numpy's per-call overhead instead.
 _CHUNK_TAPS = 32768
 
+# Bound on a SplatWork (see kernel_size): it admits a 4096 x 4096 sensor at
+# sigma = 1 and, on a 1 x 1 sensor, sigma up to 323.5.
+WORKSPACE_LIMIT_BYTES = 1 << 29
+
 
 @dataclass(frozen=True)
 class ContrastMap:
@@ -58,15 +62,17 @@ class ContrastMap:
             raise ValueError("map shape does not match geometry")
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Numerically stable logistic function: 1 / (1 + e) where x >= 0, else
+    e / (1 + e), with e = exp(-|x|); into out and scratch (1 + e) if given."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    q = np.add(1.0, e, out=scratch)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    np.divide(e, q, out=e, where=~pos)
+    return np.divide(1.0, q, out=e, where=pos)
 
 
 @dataclass(frozen=True)
@@ -109,26 +115,72 @@ def hard_map(positions: np.ndarray, geometry: SensorGeometry) -> ContrastMap:
     return ContrastMap(counts.reshape(h, w), geometry)
 
 
+def kernel_size(sigma: float, shape: tuple[int, int] = (1, 1)) -> tuple[int, int]:
+    """(tap half-width ceil(4 sigma), events per chunk) of the kernel. Raises
+    ValueError, before anything is allocated, unless sigma is positive and
+    finite and a SplatWork on an H x W sensor fits in WORKSPACE_LIMIT_BYTES."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    half = math.ceil(TRUNCATE_SIGMAS * sigma)
+    s = 2 * half + 1
+    step = max(1, _CHUNK_TAPS // (s * s))
+    h, w = shape
+    size = 8 * (2 * (h + 2 * s) * (w + 2 * s) + h * w + 2 * s * s * step + 4 * s * step)
+    if size > WORKSPACE_LIMIT_BYTES:
+        raise ValueError(f"sigma = {sigma:g} on a {w}x{h} sensor needs a splat workspace "
+                         f"over the {WORKSPACE_LIMIT_BYTES >> 20} MiB bound")
+    return half, step
+
+
+class SplatWork:
+    """The splat kernel's buffers for one geometry, sigma and event count, at
+    most WORKSPACE_LIMIT_BYTES: the padded map, the padded coefficient grid
+    (zero padding), the cropped map and one chunk's (S, S, C) int64 and
+    float64 tap blocks and two (2, S, C) blocks. Every splat and gradient
+    overwrites them. The caller owns it for as many splats of one window as
+    it likes; a SplatCache built without one makes its own."""
+
+    __slots__ = ("geometry", "sigma", "half", "step", "crop", "offsets", "centres",
+                 "padded", "coef", "values", "lin", "block", "d", "g")
+
+    def __init__(self, geometry: SensorGeometry, sigma: float, n_events: int):
+        half, self.step = kernel_size(sigma, geometry.shape)
+        self.geometry, self.sigma, self.half = geometry, float(sigma), half
+        h, w = geometry.shape
+        s = 2 * half + 1
+        self.crop = (slice(s, s + h), slice(s, s + w))
+        # flat padded index of each tap from the event's first tap, and the
+        # tap centres' offsets from the event's pixel corner
+        self.offsets = (np.arange(s)[:, None] * (w + 2 * s) + np.arange(s))[:, :, None]
+        self.centres = (np.arange(-half, half + 1) + 0.5)[:, None]
+        self.padded, self.coef = np.zeros((2, h + 2 * s, w + 2 * s))
+        self.values = np.empty((h, w))
+        c = min(self.step, n_events)
+        self.lin, self.block = np.empty(s * s * c, dtype=np.int64), np.empty(s * s * c)
+        self.d, self.g = np.empty((2, 2 * s * c))
+
+
 class SplatCache:
     """One Gaussian splat of a position set; reusable for gradient passes.
 
     The kernel works on the map padded by S = 2 ceil(4 sigma) + 1 pixels on
     every side, so taps that fall off the sensor land in the padding and need
     no mask; an event whose whole support is off the sensor is pinned just
-    outside it.
+    outside it. It writes into `work` (a fresh SplatWork when None), so
+    `values` lasts until the next splat into the same work.
     """
 
-    __slots__ = ("geometry", "sigma", "positions", "values", "_half", "_base", "_frac")
+    __slots__ = ("geometry", "sigma", "positions", "values", "work", "_base", "_frac")
 
-    def __init__(self, positions: np.ndarray, geometry: SensorGeometry, sigma: float):
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        self.geometry = geometry
-        self.sigma = float(sigma)
-        self.positions = np.ascontiguousarray(
-            np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        )
-        half = self._half = int(math.ceil(TRUNCATE_SIGMAS * sigma))
+    def __init__(self, positions: np.ndarray, geometry: SensorGeometry, sigma: float,
+                 work: SplatWork | None = None):
+        self.positions = np.ascontiguousarray(positions, dtype=np.float64).reshape(-1, 2)
+        if work is None:
+            work = SplatWork(geometry, sigma, len(self.positions))
+        if (work.geometry, work.sigma) != (geometry, float(sigma)):
+            raise ValueError("splat workspace was built for another geometry or sigma")
+        self.geometry, self.sigma, self.work = geometry, float(sigma), work
+        half = work.half
         h, w = geometry.shape
         s = 2 * half + 1
         # each event's first-tap index in the padded map and sub-pixel position
@@ -138,64 +190,60 @@ class SplatCache:
         by = np.clip(f[1], -half - 1, h + half).astype(np.int64)
         self._base = (by + half + 1) * (w + 2 * s) + (bx + half + 1)
         self._frac = p - f
-        shape, crop = self._padded()
-        out = np.zeros(shape[0] * shape[1])
+        work.padded.fill(0.0)
         for _, lin, g, _ in self._chunks():
-            np.add.at(out, lin.ravel(), (g[1, :, None, :] * g[0, None, :, :]).ravel())
-        self.values = out.reshape(shape)[crop].copy()
-
-    def _padded(self):
-        """Shape of the padded map and the slices that crop it to the sensor."""
-        h, w = self.geometry.shape
-        s = 2 * self._half + 1
-        return (h + 2 * s, w + 2 * s), (slice(s, s + h), slice(s, s + w))
+            taps = np.multiply(g[1, :, None, :], g[0, None, :, :],
+                               out=work.block[:lin.size].reshape(lin.shape))
+            np.add.at(work.padded.ravel(), lin.ravel(), taps.ravel())
+        np.copyto(work.values, work.padded[work.crop])
+        self.values = work.values
 
     def _chunks(self):
         """Taps of the kernel, about _CHUNK_TAPS per event chunk, in a fixed
-        order.
-
-        Yields (events, lin, g, d): the chunk's event slice; the flat padded
-        index of every tap, (S, S, C); and per axis, tap-major, the kernel
-        weights g and the offsets d of the tap centres from the events,
-        (2, S, C), with the 2-D normalization on the y weights.
-        """
-        w = self.geometry.width
-        half = self._half
-        s = 2 * half + 1
-        offsets = (np.arange(s)[:, None] * (w + 2 * s) + np.arange(s))[:, :, None]
-        centres = (np.arange(-half, half + 1) + 0.5)[:, None]
+        order, in the work's buffers: yields (events, lin, g, d), the chunk's
+        event slice, the flat padded index of every tap (S, S, C), and per
+        axis, tap-major, the kernel weights g (2-D normalization on y) and
+        the offsets d of the tap centres from the events, (2, S, C)."""
+        work = self.work
+        s = 2 * work.half + 1
         inv2s2 = -0.5 / (self.sigma * self.sigma)
         norm2 = 1.0 / (2.0 * math.pi * self.sigma * self.sigma)
-        step = max(1, _CHUNK_TAPS // (s * s))
-        for k in range(0, len(self._base), step):
-            c = slice(k, k + step)
-            d = centres - self._frac[:, None, c]
-            g = d * d
+        n = len(self._base)
+        for k in range(0, n, work.step):
+            c = slice(k, min(k + work.step, n))
+            size = c.stop - k
+            d = np.subtract(work.centres, self._frac[:, None, c],
+                            out=work.d[:2 * s * size].reshape(2, s, size))
+            g = np.multiply(d, d, out=work.g[:d.size].reshape(d.shape))
             g *= inv2s2
             np.exp(g, out=g)
             g[1] *= norm2
-            yield c, offsets + self._base[c], g, d
+            lin = np.add(work.offsets, self._base[c],
+                         out=work.lin[:s * s * size].reshape(s, s, size))
+            yield c, lin, g, d
 
     def position_gradient(self, coefficients: np.ndarray) -> np.ndarray:
         """Gradient of sum_ij coefficients_ij * M_ij w.r.t. positions, (N, 2)."""
-        coef = np.ascontiguousarray(coefficients, dtype=np.float64)
+        coef = np.asarray(coefficients, dtype=np.float64)
         if coef.shape != self.geometry.shape:
             raise ValueError("coefficient grid shape does not match geometry")
-        shape, crop = self._padded()
-        padded = np.zeros(shape)
-        padded[crop] = coef
-        flat = padded.ravel()
-        out = np.empty((len(self._base), 2))
+        work = self.work
+        work.coef[work.crop] = coef
+        out = np.empty((2, len(self._base)))  # einsum is slow into strided out=
         for c, lin, g, d in self._chunks():
-            patch = flat[lin]  # coefficient at each tap
-            gd = g * d
-            out[c, 0] = np.einsum("ac,abc,bc->c", g[1], patch, gd[0])
-            out[c, 1] = np.einsum("ac,abc,bc->c", gd[1], patch, g[0])
-        return out * (1.0 / (self.sigma * self.sigma))
+            # coefficient at each tap; mode="wrap" (indices are in range)
+            # lets take write into out= without buffering
+            patch = np.take(work.coef.ravel(), lin, mode="wrap",
+                            out=work.block[:lin.size].reshape(lin.shape))
+            gd = np.multiply(g, d, out=d)
+            np.einsum("ac,abc,bc->c", g[1], patch, gd[0], out=out[0, c])
+            np.einsum("ac,abc,bc->c", gd[1], patch, g[0], out=out[1, c])
+        out *= 1.0 / (self.sigma * self.sigma)
+        return out.T.copy()
 
 
-def _splat(positions: np.ndarray, geometry: SensorGeometry, sigma: float) -> SplatCache:
-    return SplatCache(positions, geometry, sigma)
+def _splat(positions: np.ndarray, geometry: SensorGeometry, sigma: float, work=None) -> SplatCache:
+    return SplatCache(positions, geometry, sigma, work)
 
 
 def smooth_map(

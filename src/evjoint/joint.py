@@ -18,9 +18,10 @@ from typing import Union
 
 import numpy as np
 
-from .contrast import SIGMA_DEFAULT, ConfidenceMap, _splat, sigmoid
+from .contrast import SIGMA_DEFAULT, ConfidenceMap, SplatWork, _splat, kernel_size, sigmoid
 from .events import EventWindow
-from .warp import TRANSLATION_2D, MotionParams, model_dim, warp, warp_jacobian
+from .warp import (ROTATION_INPLANE, TRANSLATION_2D, MotionParams, _rotation_center, model_dim,
+                   warp, warp_jacobian, warp_positions)
 
 # Below this event count the variance objectives are meaningless;
 # such windows are returned unoptimized with every event marked noise.
@@ -81,8 +82,7 @@ class JointConfig:
             raise ValueError("iterations must be non-negative")
         if not (self.learning_rate_theta > 0 and self.learning_rate_logits > 0):
             raise ValueError("learning rates must be positive")
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
+        kernel_size(self.sigma)
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
 
@@ -119,27 +119,34 @@ class JointResult:
 
 @dataclass(frozen=True)
 class AdamState:
+    """Moments, step count and two parameter-shaped scratch arrays."""
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros_like(cls, params: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(params), np.zeros_like(params), 0)
+        return cls(np.zeros_like(params), np.zeros_like(params), 0, np.empty((2,) + params.shape))
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update. Returns (new params, new state)."""
+def adam_step(params: np.ndarray, grads, state: AdamState, lr: float):
+    """One bias-corrected Adam update of the float64 array params and of the
+    moments, in place. Returns (params, state with the moments and step)."""
     grads = np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient passed to adam_step")
     step = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, AdamState(m, v, step)
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= ADAM_BETA1  # m = beta1 m + (1 - beta1) g
+    m += np.multiply(1.0 - ADAM_BETA1, grads, out=a)
+    v *= ADAM_BETA2  # v = beta2 v + (1 - beta2) g g
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grads, out=a), grads, out=a)
+    np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1 ** step, out=a), out=a)  # lr m_hat
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** step, out=b), out=b)
+    params -= np.divide(a, np.add(b, ADAM_EPS, out=b), out=a)  # / (sqrt(v_hat) + eps)
+    return params, AdamState(m, v, step, state.scratch)
 
 
 def interpolate_confidence(weights: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -186,54 +193,89 @@ def _resolve_alpha(cfg: JointConfig) -> float:
     return (ALPHA_PEAK_MULTIPLES * peak) ** 2 * cfg.beta
 
 
-def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool):
+class _Workspace:
+    """What every evaluation on one window writes into or reuses: a SplatWork
+    (within contrast.WORKSPACE_LIMIT_BYTES), eight H x W maps and the
+    theta-free warp inputs, about 56 bytes per event. `solve` builds one per
+    window (`_descend` one per call when given none); it is dropped with that
+    call and never kept in `window.derived`."""
+
+    def __init__(self, window: EventWindow, sigma: float, model: str):
+        self.splat = SplatWork(window.geometry, sigma, len(window))
+        self.positions = window.positions
+        self.dt = window.times - window.t_ref
+        self.center = _rotation_center(window) if model == ROTATION_INPLANE else None
+        self.jac = (warp_jacobian(window, MotionParams.zero(model))
+                    if model == TRANSLATION_2D else None)
+        (self.dev, self.wts, self.adev, self.wm1, self.resid, self.coef, self.dlogits,
+         self.tmp) = np.empty((8,) + window.geometry.shape)
+
+
+def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool,
+              ws: _Workspace | None = None):
     """Objective parts and, optionally, gradients w.r.t. theta and logits.
 
     With logits=None only the alignment regret b_ea - f_ea is evaluated
     (worst_regret and total equal it): the denoising parts are NaN, alpha and
-    b_ed are unused, and there is no logit gradient.
+    b_ed are unused, and there is no logit gradient. It writes into ws (a
+    fresh _Workspace when None), where its arrays last until the next call.
     """
-    cache = _splat(warp(window, theta), window.geometry, cfg.sigma)
+    if ws is None:
+        ws = _Workspace(window, cfg.sigma, theta.model)
+    cache = _splat(warp_positions(ws.positions, ws.dt, theta, ws.center), window.geometry,
+                   cfg.sigma, ws.splat)
     m = cache.values
     n_pix = m.size
     mu_m = m.mean()
-    f_ea = float(((m - mu_m) ** 2).mean())
+    dev = np.subtract(m, mu_m, out=ws.dev)
+    f_ea = float(np.square(dev, out=ws.tmp).mean())
     r_ea = b_ea - f_ea
     if logits is None:
         nan = math.nan
         parts = ObjectiveParts(f_ea, nan, r_ea, nan, r_ea, nan, nan, r_ea)
         if not want_grads:
             return parts, None, None
-        coef_m, dlogits = -(2.0 / n_pix) * (m - mu_m), None
+        coef_m, dlogits = np.multiply(-(2.0 / n_pix), dev, out=ws.coef), None
     else:
-        wts = sigmoid(logits)
-        a = wts * m
-        mu_w = a.mean()
-        f_ed = float(((a - mu_w) ** 2).mean())
+        wts = sigmoid(logits, out=ws.wts, scratch=ws.tmp)
+        adev = np.multiply(wts, m, out=ws.adev)
+        mu_w = adev.mean()
+        adev -= mu_w
+        f_ed = float(np.square(adev, out=ws.tmp).mean())
         r_ed = f_ed - b_ed
         worst = max(r_ea, r_ed)
         l1 = float(wts.sum())
-        resid = (wts - 1.0) * m
-        fidelity = float((resid ** 2).sum())
+        wm1 = np.subtract(wts, 1.0, out=ws.wm1)
+        resid = np.multiply(wm1, m, out=ws.resid)
+        fidelity = float(np.square(resid, out=ws.tmp).sum())
         total = worst + alpha * l1 + cfg.beta * fidelity
         parts = ObjectiveParts(f_ea, f_ed, r_ea, r_ed, worst, l1, fidelity, total)
         if not want_grads:
             return parts, None, None
 
-        # subgradient of max(r_ea, r_ed): active branch, averaged on a tie
+        # subgradient of max(r_ea, r_ed): active branch, averaged on a tie.
+        # dlogits first holds the regret's own logit term dlog_r; each line
+        # keeps the operation order of the formula in its comment.
+        coef_m, dlogits, tmp = ws.coef, ws.dlogits, ws.tmp
         if r_ea > r_ed:
-            coef_m = -(2.0 / n_pix) * (m - mu_m)
-            dlog_r = 0.0
+            np.multiply(-(2.0 / n_pix), dev, out=coef_m)  # -(2/n) (m - mu_m)
+            dlogits.fill(0.0)
         elif r_ed > r_ea:
-            coef_m = (2.0 / n_pix) * (a - mu_w) * wts
-            dlog_r = (2.0 / n_pix) * (a - mu_w) * m
-        else:
-            coef_m = (1.0 / n_pix) * ((a - mu_w) * wts - (m - mu_m))
-            dlog_r = (1.0 / n_pix) * (a - mu_w) * m
-        coef_m = coef_m + 2.0 * cfg.beta * (wts - 1.0) * resid
-        dlogits = (dlog_r + alpha + 2.0 * cfg.beta * resid * m) * wts * (1.0 - wts)
+            np.multiply(np.multiply(2.0 / n_pix, adev, out=coef_m), wts, out=coef_m)
+            np.multiply(np.multiply(2.0 / n_pix, adev, out=dlogits), m, out=dlogits)
+        else:  # (1/n) ((a - mu_w) wts - (m - mu_m)) and (1/n) (a - mu_w) m
+            np.multiply(np.subtract(np.multiply(adev, wts, out=coef_m), dev, out=coef_m),
+                        1.0 / n_pix, out=coef_m)
+            np.multiply(np.multiply(1.0 / n_pix, adev, out=dlogits), m, out=dlogits)
+        # coef_m + 2 beta (wts - 1) resid; (dlog_r + alpha + 2 beta resid m) wts (1 - wts)
+        coef_m += np.multiply(np.multiply(2.0 * cfg.beta, wm1, out=tmp), resid, out=tmp)
+        dlogits += alpha
+        dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
+        dlogits *= wts
+        dlogits *= np.subtract(1.0, wts, out=tmp)
     dpos = cache.position_gradient(coef_m)
-    dtheta = np.einsum("ka,kap->p", dpos, warp_jacobian(window, theta))
+    jac = ws.jac if ws.jac is not None else warp_jacobian(window, theta)
+    dtheta = np.einsum("ka,kap->p", dpos, jac)
     return parts, dtheta, dlogits
 
 
@@ -267,24 +309,29 @@ def _time_scale(window: EventWindow) -> float:
 
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
              logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
-             phi: np.ndarray | None = None):
+             phi: np.ndarray | None = None, ws: _Workspace | None = None):
     """Full-batch Adam descent on the objective from phi (zero motion if None).
 
     Works in window-displacement units (pixels across the window span), so
     the step size is independent of the window duration and of the raw
     magnitude of the motion parameters. With logits=None only the alignment
     regret b_ea - f_ea is descended, which ascends f_ea; otherwise the
-    logits are stepped after phi. Returns (phi, logits, trace of parts).
+    logits are stepped after phi. Every step evaluates in ws (one workspace
+    built here when None) and updates copies of phi and logits in place.
+    Returns (phi, logits, trace of parts).
     """
     tspan = _time_scale(window)
-    if phi is None:
-        phi = np.zeros(model_dim(model))
+    phi = np.zeros(model_dim(model)) if phi is None else np.array(phi, dtype=np.float64)
+    if logits is not None:
+        logits = np.array(logits, dtype=np.float64)
+    if ws is None:
+        ws = _Workspace(window, cfg.sigma, model)
     state_phi = AdamState.zeros_like(phi)
     state_log = None if logits is None else AdamState.zeros_like(logits)
     trace: list[ObjectiveParts] = []
     for it in range(iterations):
         parts, dtheta, dlogits = _evaluate(window, MotionParams(model, phi / tspan), logits, cfg,
-                                           alpha, b_ea, b_ed, want_grads=True)
+                                           alpha, b_ea, b_ed, want_grads=True, ws=ws)
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         trace.append(parts)
@@ -316,20 +363,22 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
                            np.zeros(len(window), dtype=bool), b_ed=b_ed, alpha=alpha)
 
     tspan = _time_scale(window)
+    ws = _Workspace(window, cfg.sigma, model)
     phi, warm_trace = None, []
     if isinstance(cfg.b_ea, WarmStartScaled):
-        phi, _, warm = _descend(window, model, cfg, cfg.iterations // 2, 0.0)
+        phi, _, warm = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
         warm_trace = [p.f_ea for p in warm]
         end, _, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
-                              math.nan, 0.0, math.nan, want_grads=False)
+                              math.nan, 0.0, math.nan, want_grads=False, ws=ws)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
     phi, logits, trace = _descend(window, model, cfg, cfg.iterations, b_ea,
-                                  np.zeros(window.geometry.shape), alpha, b_ed, phi)
+                                  np.zeros(window.geometry.shape), alpha, b_ed, phi, ws)
 
     theta = MotionParams(model, phi / tspan)
-    final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False)
+    final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False,
+                            ws=ws)
     labels = interpolate_confidence(sigmoid(logits), warp(window, theta)) >= cfg.tau
     return JointResult(
         theta=theta,

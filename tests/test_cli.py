@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,25 @@ class TestRender:
         assert run("render", "-i", str(synth_file), "-o", str(out)) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+class TestSigmaBound:
+    @pytest.mark.parametrize("sigma", ["inf", "1e300", "1000"])
+    @pytest.mark.parametrize("command", ["denoise", "estimate-motion", "render"])
+    def test_unusable_sigma_exits_two_before_allocating(self, synth_file, tmp_path, capsys,
+                                                        command, sigma):
+        out = tmp_path / ("o.pgm" if command == "render" else "o.out")
+        tracemalloc.start()
+        try:
+            code = run(command, "-i", str(synth_file), "-o", str(out), f"--sigma={sigma}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "sigma" in err[0]
+        assert not out.exists()
+        assert peak < 16 << 20
 
 
 class TestReproducibility:

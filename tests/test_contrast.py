@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,45 @@ class TestVarianceGradients:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             contrast.SplatCache(np.zeros((1, 2)), G16, -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, 1e300, 1000.0])
+    def test_unusable_sigma_rejected_before_allocating(self, sigma):
+        # at sigma = 1000 the padded map alone would take about 2 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sigma"):
+                contrast.SplatCache(np.array([[3.0, 4.0]]), SensorGeometry(96, 96), sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_workspace_bound(self):
+        half, step = contrast.kernel_size(1.0, (96, 96))
+        assert (half, step) == (4, contrast._CHUNK_TAPS // 81)
+        # a large sensor fits at sigma = 1; even the smallest sensor bounds
+        # sigma at a few hundred
+        contrast.kernel_size(1.0, (4096, 4096))
+        contrast.kernel_size(300.0)
+        with pytest.raises(ValueError, match="a 1x1 sensor"):
+            contrast.kernel_size(400.0)
+        with pytest.raises(ValueError, match="a 8192x8192 sensor"):
+            contrast.kernel_size(1.0, (8192, 8192))
+
+    def test_splat_into_a_given_workspace(self):
+        rng = np.random.default_rng(2)
+        work = contrast.SplatWork(G16, 1.0, 50)
+        for _ in range(3):
+            pos = rng.uniform(-2, 18, (50, 2))
+            coef = rng.normal(size=G16.shape)
+            fresh = contrast.SplatCache(pos, G16, 1.0)
+            reused = contrast.SplatCache(pos, G16, 1.0, work)
+            assert reused.values is work.values
+            assert reused.values.tobytes() == fresh.values.tobytes()
+            assert (reused.position_gradient(coef).tobytes()
+                    == fresh.position_gradient(coef).tobytes())
+        with pytest.raises(ValueError, match="another geometry or sigma"):
+            contrast.SplatCache(pos, G16, 2.0, work)
 
 
 def test_alignment_raises_smooth_variance_on_synthetic_edge():

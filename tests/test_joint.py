@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import resource
 
 import numpy as np
 import pytest
 
+import evjoint.contrast as contrast
+import evjoint.joint as joint
 from evjoint.baselines import cmax_solve
 from evjoint.contrast import ConfidenceMap, sigmoid, smooth_map
 from evjoint.events import Events, EventWindow, SensorGeometry
@@ -12,7 +16,9 @@ from evjoint.joint import (
     ExplicitBaseline,
     JointConfig,
     WarmStartScaled,
+    _descend,
     _evaluate,
+    _resolve_alpha,
     adam_step,
     interpolate_confidence,
     objective,
@@ -30,7 +36,8 @@ G16 = SensorGeometry(16, 16)
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = np.array([1.0, -2.0])
-        out, state = adam_step(params, np.zeros(2), AdamState.zeros_like(params), lr=0.1)
+        # adam_step updates params in place: compare with a copy
+        out, state = adam_step(params.copy(), np.zeros(2), AdamState.zeros_like(params), lr=0.1)
         assert np.array_equal(out, params)
         assert state.step == 1
 
@@ -49,7 +56,8 @@ class TestAdam:
         state = AdamState.zeros_like(params)
         lr = 0.03
         for _ in range(50):
-            new, state = adam_step(params, np.full(3, scale), state, lr=lr)
+            # adam_step updates params in place: step a copy
+            new, state = adam_step(params.copy(), np.full(3, scale), state, lr=lr)
             assert np.all(np.abs(new - params) <= lr * (1.0 + 1e-9))
             params = new
 
@@ -70,6 +78,23 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(np.zeros(1), np.array([np.nan]), AdamState.zeros_like(np.zeros(1)), 0.1)
 
+    def test_matches_out_of_place_update_bitwise(self):
+        # the in-place update keeps every operation of the textbook form
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=(4, 3))
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        state = AdamState.zeros_like(params)
+        for step in range(1, 6):
+            g = rng.normal(size=params.shape) * 10.0 ** rng.integers(-3, 3)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat, v_hat = m / (1.0 - 0.9 ** step), v / (1.0 - 0.999 ** step)
+            want = params - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            got, state = adam_step(params, g, state, lr=0.05)
+            assert got is params and state.step == step
+            assert got.tobytes() == want.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
 
 class TestConfigValidation:
     def test_bad_tau(self):
@@ -83,6 +108,13 @@ class TestConfigValidation:
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             JointConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e300, 1000.0])
+    def test_unusable_sigma(self, sigma):
+        # a sigma whose splat workspace exceeds the bound on any sensor is
+        # rejected with the config, before a window is splatted
+        with pytest.raises(ValueError, match="sigma"):
+            JointConfig(sigma=sigma)
 
 
 class TestObjective:
@@ -380,3 +412,111 @@ class TestInterpolation:
         val = interpolate_confidence(wts, np.array([[-3.0, 0.5], [5.0, 0.5]]))
         assert val[0] == pytest.approx(0.25)
         assert val[1] == pytest.approx(0.75)
+
+
+def _parts_bytes(trace):
+    return [np.array(dataclasses.astuple(p)).tobytes() for p in trace]
+
+
+class TestWorkspaceReuse:
+    """_descend evaluates every step in one workspace. Each step must come
+    out bit for bit as if it had evaluated in a fresh one, so no buffer
+    carries state from one step to the next."""
+
+    ITERS = 12
+
+    def _descend_both(self, monkeypatch, window, b_ea, b_ed, logits, model="translation2d"):
+        cfg = JointConfig()
+        args = (window, model, cfg, self.ITERS, b_ea, logits, _resolve_alpha(cfg), b_ed)
+        phi, out_logits, trace = _descend(*args)
+        fresh = joint._evaluate
+        with monkeypatch.context() as mp:
+            mp.setattr(joint, "_evaluate", lambda *a, ws=None, **k: fresh(*a, **k))
+            ref_phi, ref_logits, ref_trace = _descend(*args)
+        assert phi.tobytes() == ref_phi.tobytes()
+        if logits is None:
+            assert out_logits is None and ref_logits is None
+        else:
+            assert out_logits.tobytes() == ref_logits.tobytes()
+        assert _parts_bytes(trace) == _parts_bytes(ref_trace)
+        assert len(trace) == self.ITERS
+        return trace
+
+    @staticmethod
+    def _window(n, width=24, height=20, seed=3, off_sensor=0):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, width, n)
+        y = rng.uniform(0, height, n)
+        # whole kernel support off the sensor: pinned just outside it
+        x[:off_sensor:2] = -40.0 - rng.uniform(0, 5, len(x[:off_sensor:2]))
+        y[1:off_sensor:2] = height + 30.0 + rng.uniform(0, 5, len(y[1:off_sensor:2]))
+        t = np.sort(rng.uniform(0, 0.1, n))
+        p = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+        return EventWindow(Events(x, y, t, p), SensorGeometry(width, height), 0.0, 0.1, 0.05)
+
+    def test_event_count_not_a_chunk_multiple(self, monkeypatch):
+        step = contrast._CHUNK_TAPS // 81  # events per chunk at sigma = 1
+        window = self._window(2 * step + 37)
+        self._descend_both(monkeypatch, window, 0.5, 0.0, np.zeros((20, 24)))
+
+    def test_many_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(contrast, "_CHUNK_TAPS", 3 * 81)  # three events per chunk
+        self._descend_both(monkeypatch, self._window(100), 0.5, 0.0, np.zeros((20, 24)))
+
+    def test_events_off_the_sensor(self, monkeypatch):
+        window = self._window(150, off_sensor=40)
+        self._descend_both(monkeypatch, window, 0.5, 0.0, np.zeros((20, 24)))
+
+    def test_rotation_model(self, monkeypatch):
+        self._descend_both(monkeypatch, self._window(150), 0.5, 0.0, np.zeros((20, 24)),
+                           model="rotation_inplane")
+
+    def test_alignment_only(self, monkeypatch):
+        trace = self._descend_both(monkeypatch, self._window(150), 0.0, math.nan, None)
+        assert all(math.isnan(p.f_ed) for p in trace)
+
+    def test_alignment_branch(self, monkeypatch):
+        trace = self._descend_both(monkeypatch, self._window(150), 10.0, 0.0,
+                                   np.zeros((20, 24)))
+        assert all(p.r_ea > p.r_ed for p in trace)
+
+    def test_denoising_branch(self, monkeypatch):
+        trace = self._descend_both(monkeypatch, self._window(150), 0.0, -10.0,
+                                   np.full((20, 24), 0.3))
+        assert all(p.r_ed > p.r_ea for p in trace)
+
+    def test_tied_branches(self, monkeypatch):
+        # baselines equal to the starting f_ea and f_ed: both regrets are
+        # exactly 0 at the first step
+        window = self._window(150)
+        cfg = JointConfig()
+        logits = np.zeros((20, 24))
+        start, _, _ = _evaluate(window, MotionParams.zero("translation2d"), logits, cfg,
+                                _resolve_alpha(cfg), 0.0, 0.0, want_grads=False)
+        trace = self._descend_both(monkeypatch, window, start.f_ea, start.f_ed, logits)
+        assert trace[0].r_ea == trace[0].r_ed == 0.0
+
+
+def test_descent_steps_fault_in_few_pages(monkeypatch):
+    # On a ~900-event 96x96 window, once 5 steps have run, a descent step
+    # allocates no map- or chunk-sized arrays, so it faults in few fresh
+    # pages: at most 25 minor page faults per step over the next 50 steps.
+    # With fresh temporaries per evaluation it took about 240.
+    spec = SceneSpec(SensorGeometry(96, 96), Dot((24.0, 40.0), 8.0),
+                     MotionParams.translation(40.0, 25.0), 0.25, noise_rate=0.1)
+    window, _, _ = generate(spec, seed=2)
+    assert 850 <= len(window) <= 950
+    cfg = JointConfig()
+    faults = []
+    real = joint._evaluate
+
+    def counted(*args, **kwargs):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(joint, "_evaluate", counted)
+    _descend(window, "translation2d", cfg, 55, 0.5, np.zeros((96, 96)), _resolve_alpha(cfg),
+             joint._denoise_baseline(window, cfg.sigma))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    per_step = (faults[-1] - faults[5]) / 50
+    assert per_step <= 25, f"{per_step:.1f} minor page faults per descent step"
