@@ -5,12 +5,10 @@ from .contrast import (
     ConfidenceMap,
     ContrastMap,
     hard_map,
-    map_variance,
     smooth_map,
     weighted_map,
 )
 from .events import (
-    Event,
     Events,
     EventWindow,
     FixedCount,
@@ -37,7 +35,7 @@ from .joint import (
 )
 from .metrics import ConfusionCounts, ConfusionResult, confusion, esr, motion_rmse
 from .synth import Dot, MultiEdge, SceneSpec, VerticalEdge, generate
-from .warp import MotionParams, warp, warp_jacobian
+from .warp import MotionParams, warp, warp_pullback
 
 __version__ = "0.1.0"
 
@@ -49,7 +47,6 @@ __all__ = [
     "ConfusionResult",
     "ContrastMap",
     "Dot",
-    "Event",
     "Events",
     "EventWindow",
     "ExplicitBaseline",
@@ -74,7 +71,6 @@ __all__ = [
     "generate",
     "hard_map",
     "interpolate_confidence",
-    "map_variance",
     "motion_rmse",
     "objective",
     "objective_gradients",
@@ -83,7 +79,7 @@ __all__ = [
     "smooth_map",
     "solve",
     "warp",
-    "warp_jacobian",
+    "warp_pullback",
     "weighted_map",
     "window_stream",
     "write_events",

@@ -1,4 +1,4 @@
-"""Contrast maps: per-pixel event mass, weighted variants, variance, gradients.
+"""Contrast maps: per-pixel event mass, weighted variants, position gradients.
 
 Two accumulation flavors are provided. ``hard_map`` counts events per pixel
 cell. ``smooth_map`` replaces each event by an isotropic 2-D Gaussian
@@ -259,9 +259,3 @@ def weighted_map(cmap: ContrastMap, conf: ConfidenceMap) -> ContrastMap:
     if conf.shape != cmap.values.shape:
         raise ValueError("confidence map shape does not match contrast map")
     return ContrastMap(conf.weights * cmap.values, cmap.geometry)
-
-
-def map_variance(cmap) -> float:
-    """Population variance over all pixels (divide by H*W)."""
-    values = getattr(cmap, "values", cmap)
-    return float(np.var(values))

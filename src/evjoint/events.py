@@ -7,12 +7,16 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import dropwhile, filterfalse
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 BINARY_MAGIC = b"EVJ1"
 UNLABELED = 255
+
+# Largest sensor, in pixels: a contrast map is 128 MiB of float64 here and
+# the splat workspace at sigma = 1 still fits contrast.WORKSPACE_LIMIT_BYTES.
+MAX_PIXELS = 1 << 24
 
 # fixed-width little-endian record used by the .evj binary format
 _EVENT_DTYPE = np.dtype(
@@ -22,15 +26,6 @@ _EVENT_DTYPE = np.dtype(
 
 class FormatError(ValueError):
     """Malformed event file or record."""
-
-
-class Event(NamedTuple):
-    """One sensor event: pixel location, time in seconds, polarity in {-1, +1}."""
-
-    x: float
-    y: float
-    t: float
-    p: int
 
 
 @dataclass(frozen=True)
@@ -43,6 +38,8 @@ class SensorGeometry:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"geometry must be at least 1x1, got {self.width}x{self.height}")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(f"geometry {self.width}x{self.height} exceeds {MAX_PIXELS} pixels")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -57,7 +54,8 @@ class Events:
     """Column-oriented event stream: parallel x, y, t, p arrays.
 
     Coordinates are real-valued so the same container carries raw and
-    warped events. Iterating yields ``Event`` records in stream order.
+    warped events. Indexing with a slice, mask or index array selects a
+    sub-stream; there are no per-event record objects.
     """
 
     __slots__ = ("x", "y", "t", "p")
@@ -103,14 +101,8 @@ class Events:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return Event(float(self.x[idx]), float(self.y[idx]), float(self.t[idx]), int(self.p[idx]))
+    def __getitem__(self, idx) -> "Events":
         return Events(self.x[idx], self.y[idx], self.t[idx], self.p[idx], validate=False)
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Events):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .contrast import SIGMA_DEFAULT, ConfidenceMap, SplatWork, _splat, kernel_size, sigmoid
 from .events import EventWindow
-from .warp import (ROTATION_INPLANE, TRANSLATION_2D, MotionParams, _rotation_center, model_dim,
-                   warp, warp_jacobian, warp_positions)
+from .warp import (TRANSLATION_2D, MotionParams, _rotation_center, model_dim, warp,
+                   warp_positions, warp_pullback)
 
 # Below this event count the variance objectives are meaningless;
 # such windows are returned unoptimized with every event marked noise.
@@ -55,6 +55,10 @@ class WarmStartScaled:
     """Set the alignment baseline to kappa times the warm-started variance."""
 
     kappa: float = KAPPA_DEFAULT
+
+    def __post_init__(self) -> None:
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 BaselineSpec = Union[ExplicitBaseline, WarmStartScaled]
@@ -103,14 +107,13 @@ class ObjectiveParts:
 
 @dataclass(frozen=True)
 class JointResult:
-    """Motion, confidence map and labels; the solver's record defaults to
-    empty traces and NaN baselines for results no objective produced."""
+    """Motion, confidence map and labels; the solver's record defaults to an
+    empty trace and NaN baselines for results no objective produced."""
 
     theta: MotionParams
     conf: ConfidenceMap
     labels: np.ndarray
     trace: list[ObjectiveParts] = field(default_factory=list)
-    warm_trace: list[float] = field(default_factory=list)
     final: ObjectiveParts | None = None
     b_ea: float = math.nan
     b_ed: float = math.nan
@@ -196,17 +199,16 @@ def _resolve_alpha(cfg: JointConfig) -> float:
 class _Workspace:
     """What every evaluation on one window writes into or reuses: a SplatWork
     (within contrast.WORKSPACE_LIMIT_BYTES), eight H x W maps and the
-    theta-free warp inputs, about 56 bytes per event. `solve` builds one per
-    window (`_descend` one per call when given none); it is dropped with that
-    call and never kept in `window.derived`."""
+    theta-free warp inputs (positions, time offsets, rotation center), 24
+    bytes per event. `solve` builds one per window (`_descend` one per call
+    when given none); it is dropped with that call and never kept in
+    `window.derived`."""
 
-    def __init__(self, window: EventWindow, sigma: float, model: str):
+    def __init__(self, window: EventWindow, sigma: float):
         self.splat = SplatWork(window.geometry, sigma, len(window))
         self.positions = window.positions
         self.dt = window.times - window.t_ref
-        self.center = _rotation_center(window) if model == ROTATION_INPLANE else None
-        self.jac = (warp_jacobian(window, MotionParams.zero(model))
-                    if model == TRANSLATION_2D else None)
+        self.center = _rotation_center(window)
         (self.dev, self.wts, self.adev, self.wm1, self.resid, self.coef, self.dlogits,
          self.tmp) = np.empty((8,) + window.geometry.shape)
 
@@ -221,7 +223,7 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
     fresh _Workspace when None), where its arrays last until the next call.
     """
     if ws is None:
-        ws = _Workspace(window, cfg.sigma, theta.model)
+        ws = _Workspace(window, cfg.sigma)
     cache = _splat(warp_positions(ws.positions, ws.dt, theta, ws.center), window.geometry,
                    cfg.sigma, ws.splat)
     m = cache.values
@@ -273,9 +275,7 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
         dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
         dlogits *= wts
         dlogits *= np.subtract(1.0, wts, out=tmp)
-    dpos = cache.position_gradient(coef_m)
-    jac = ws.jac if ws.jac is not None else warp_jacobian(window, theta)
-    dtheta = np.einsum("ka,kap->p", dpos, jac)
+    dtheta = warp_pullback(cache.position_gradient(coef_m), ws.positions, ws.dt, theta, ws.center)
     return parts, dtheta, dlogits
 
 
@@ -325,7 +325,7 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     if logits is not None:
         logits = np.array(logits, dtype=np.float64)
     if ws is None:
-        ws = _Workspace(window, cfg.sigma, model)
+        ws = _Workspace(window, cfg.sigma)
     state_phi = AdamState.zeros_like(phi)
     state_log = None if logits is None else AdamState.zeros_like(logits)
     trace: list[ObjectiveParts] = []
@@ -363,11 +363,10 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
                            np.zeros(len(window), dtype=bool), b_ed=b_ed, alpha=alpha)
 
     tspan = _time_scale(window)
-    ws = _Workspace(window, cfg.sigma, model)
-    phi, warm_trace = None, []
+    ws = _Workspace(window, cfg.sigma)
+    phi = None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        phi, _, warm = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
-        warm_trace = [p.f_ea for p in warm]
+        phi, _, _ = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
         end, _, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
                               math.nan, 0.0, math.nan, want_grads=False, ws=ws)
         b_ea = cfg.b_ea.kappa * end.f_ea
@@ -385,7 +384,6 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
         conf=ConfidenceMap(logits),
         labels=labels,
         trace=trace,
-        warm_trace=warm_trace,
         final=final,
         b_ea=b_ea,
         b_ed=b_ed,

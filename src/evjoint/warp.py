@@ -1,8 +1,9 @@
 """Parametric motion models: compensate event positions toward a reference time.
 
 Each model maps an event at (x, t) to the position x' where the same scene
-point would appear at the window's reference time, and provides the exact
-Jacobian of x' with respect to the motion parameters.
+point would appear at the window's reference time, and pulls a gradient
+with respect to x' back to the motion parameters (a vector-Jacobian
+product; the per-event Jacobian is never built).
 """
 
 from __future__ import annotations
@@ -96,25 +97,19 @@ def warp(window: EventWindow, theta: MotionParams) -> np.ndarray:
     Row k is event k's position. Positions may land outside the sensor; they
     are kept as-is and simply contribute nothing to accumulation maps.
     """
-    dt = window.times - window.t_ref
-    center = _rotation_center(window) if theta.model == ROTATION_INPLANE else None
-    return warp_positions(window.positions, dt, theta, center)
+    return warp_positions(window.positions, window.times - window.t_ref, theta,
+                          _rotation_center(window))
 
 
-def warp_jacobian(window: EventWindow, theta: MotionParams) -> np.ndarray:
-    """Per-event Jacobian d(x', y')/d(theta), shape (N, 2, dim)."""
-    dt = window.times - window.t_ref
-    n = len(window)
+def warp_pullback(dpos: np.ndarray, positions: np.ndarray, dt: np.ndarray, theta: MotionParams,
+                  center: np.ndarray | None = None) -> np.ndarray:
+    """d/d(theta) of sum_k dpos_k . x'_k, for x' = warp_positions(positions,
+    dt, theta, center) and dpos (N, 2) the gradient with respect to x'."""
     if theta.model == TRANSLATION_2D:
-        jac = np.zeros((n, 2, 2))
-        jac[:, 0, 0] = dt
-        jac[:, 1, 1] = dt
-        return jac
-    center = _rotation_center(window)
+        return dt @ dpos
+    # with r = x - center: dx'/domega = dt (-sin r_x - cos r_y, cos r_x - sin r_y)
     ang = theta.values[0] * dt
-    c, s = np.cos(ang), np.sin(ang)
-    rel = window.positions - center[None, :]
-    jac = np.empty((n, 2, 1))
-    jac[:, 0, 0] = dt * (-s * rel[:, 0] - c * rel[:, 1])
-    jac[:, 1, 0] = dt * (c * rel[:, 0] - s * rel[:, 1])
-    return jac
+    rel = positions - center[None, :]
+    cross = dpos[:, 1] * rel[:, 0] - dpos[:, 0] * rel[:, 1]
+    dot = dpos[:, 0] * rel[:, 0] + dpos[:, 1] * rel[:, 1]
+    return np.array([(dt * np.cos(ang)) @ cross - (dt * np.sin(ang)) @ dot])

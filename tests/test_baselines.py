@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evjoint.baselines import BafConfig, baf_filter, cmax_solve, sequential_pipeline
-from evjoint.contrast import map_variance, smooth_map
+from evjoint.contrast import smooth_map
 from evjoint.events import Events, EventWindow, SensorGeometry
 from evjoint.joint import ExplicitBaseline, JointConfig, solve
 from evjoint.synth import Dot, MultiEdge, SceneSpec, generate
@@ -154,8 +154,8 @@ class TestCmax:
         w = EventWindow(ev, G, 0.0, 0.1, 0.05)
         cfg = JointConfig()
         theta = cmax_solve(w, "translation2d", cfg)
-        f0 = map_variance(smooth_map(w.positions, G))
-        f1 = map_variance(smooth_map(warp(w, theta), G))
+        f0 = np.var(smooth_map(w.positions, G).values)
+        f1 = np.var(smooth_map(warp(w, theta), G).values)
         noise_gain = f1 / f0 - 1.0
         assert noise_gain < 0.25
         budget = cfg.iterations * cfg.learning_rate_theta / (w.t_end - w.t_start)
@@ -164,8 +164,8 @@ class TestCmax:
         spec = SceneSpec(G, Dot((20.0, 30.0), 6.0), MotionParams.translation(40.0, 20.0), 0.3)
         window, _, _ = generate(spec, seed=0)
         th = cmax_solve(window, "translation2d", cfg)
-        s0 = map_variance(smooth_map(window.positions, G))
-        s1 = map_variance(smooth_map(warp(window, th), G))
+        s0 = np.var(smooth_map(window.positions, G).values)
+        s1 = np.var(smooth_map(warp(window, th), G).values)
         assert s1 / s0 - 1.0 > 4.0 * noise_gain  # structure dwarfs the noise gain
 
     def test_zero_event_window(self):

@@ -1,13 +1,19 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evjoint
 from evjoint import cli
 from evjoint.baselines import cmax_solve
 from evjoint.cli import main
-from evjoint.events import FixedDuration, read_events, window_stream
+from evjoint.events import FixedDuration, SensorGeometry, read_events, window_stream, write_events
 from evjoint.joint import JointConfig
 
 
@@ -57,7 +63,8 @@ class TestDispatch:
         assert "mutually exclusive" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--window-ms=-5", "--window-ms=nan", "--window-count=0"])
+    @pytest.mark.parametrize("flag", ["--window-ms=-5", "--window-ms=nan", "--window-count=0",
+                                      "--kappa=-1", "--kappa=0", "--kappa=nan", "--kappa=inf"])
     @pytest.mark.parametrize("body", ["x,y,t,p\n", "x,y,t,p\n1,1,0.1,1\n"],
                              ids=["header-only", "one-event"])
     @pytest.mark.parametrize("command", [["denoise", "--method", "baf"], ["estimate-motion"]])
@@ -299,6 +306,48 @@ class TestSigmaBound:
         assert len(err) == 1 and "sigma" in err[0]
         assert not out.exists()
         assert peak < 16 << 20
+
+
+class TestSensorSizeBound:
+    """A sensor past events.MAX_PIXELS exits 2 before any map is allocated.
+    Without the bound these cases ask numpy for maps of tens of GiB, so they
+    run only in a subprocess under a 2 GiB address-space limit."""
+
+    LIMIT = 2 << 30
+
+    @classmethod
+    def _run_limited(cls, cwd, *argv):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cls.LIMIT, cls.LIMIT))
+
+        src = str(Path(evjoint.__file__).resolve().parents[1])
+        # one BLAS thread: each further one reserves address space of its own
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "evjoint.cli", *argv], cwd=cwd, env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--geometry", "100000x100000", "--noise-rate", "0.1", "-o", "x.evj"],
+        ["denoise", "--method", "baf", "--geometry", "100000x100000", "-i", "in.csv",
+         "-o", "o.evj"],
+        ["render", "--hard", "--geometry", "100000x100000", "-i", "in.csv", "-o", "o.pgm"],
+        ["denoise", "--method", "baf", "-i", "huge.evj", "-o", "o.evj"],
+    ], ids=["synth", "denoise-baf", "render-hard", "evj-header"])
+    def test_oversized_sensor_exits_two(self, tmp_path, argv):
+        (tmp_path / "in.csv").write_text("x,y,t,p\n1,1,0.01,1\n2,3,0.02,-1\n5,4,0.03,1\n")
+        # a valid .evj whose header then claims a 100000 x 100000 sensor
+        huge = tmp_path / "huge.evj"
+        write_events(read_events(tmp_path / "in.csv").events, huge, geometry=SensorGeometry(8, 8))
+        raw = bytearray(huge.read_bytes())
+        raw[4:12] = (100000).to_bytes(4, "little") * 2
+        huge.write_bytes(bytes(raw))
+        proc = self._run_limited(tmp_path, *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and "100000x100000 exceeds" in err[0]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["huge.evj", "in.csv"]
 
 
 class TestReproducibility:

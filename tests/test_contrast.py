@@ -11,7 +11,6 @@ from evjoint.contrast import (
     ConfidenceMap,
     ContrastMap,
     hard_map,
-    map_variance,
     smooth_map,
     weighted_map,
 )
@@ -191,24 +190,6 @@ class TestWeightedMap:
             weighted_map(m, ConfidenceMap.zeros(G16))
 
 
-class TestVariance:
-    def test_constant_map_zero(self):
-        assert map_variance(np.full((4, 4), 3.7)) == 0.0
-
-    def test_hand_evaluated(self):
-        assert map_variance(np.array([[4.0, 0.0], [0.0, 0.0]])) == pytest.approx(3.0)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(4)
-        m = rng.uniform(0, 5, (8, 8))
-        assert map_variance(m + 11.5) == pytest.approx(map_variance(m), rel=1e-9)
-
-    def test_nonnegative_and_zero_iff_constant(self):
-        rng = np.random.default_rng(5)
-        m = rng.uniform(0, 5, (8, 8))
-        assert map_variance(m) > 0
-
-
 class TestVarianceGradients:
     """The kernel's position gradient, which every variance gradient runs
     through: d/dp sum(coef * smooth_map(p)) for a fixed coefficient grid."""
@@ -292,6 +273,6 @@ def test_alignment_raises_smooth_variance_on_synthetic_edge():
     g = SensorGeometry(64, 64)
     spec = SceneSpec(g, MultiEdge(8.0), MotionParams.translation(30.0, -10.0), 0.1)
     window, _, theta_gt = generate(spec, seed=0)
-    raw = map_variance(smooth_map(window.positions, g))
-    aligned = map_variance(smooth_map(warp(window, theta_gt), g))
+    raw = np.var(smooth_map(window.positions, g).values)
+    aligned = np.var(smooth_map(warp(window, theta_gt), g).values)
     assert aligned > raw

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evjoint.events import (
-    Event,
+    MAX_PIXELS,
     Events,
     EventWindow,
     FixedCount,
@@ -50,9 +50,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             SensorGeometry(0, 4)
 
+    def test_geometry_pixel_bound(self):
+        assert SensorGeometry(4096, 4096).npixels == MAX_PIXELS
+        assert SensorGeometry(MAX_PIXELS, 1).npixels == MAX_PIXELS
+        for w, h in [(4097, 4096), (100000, 100000), (2**32 - 1, 2**32 - 1)]:
+            with pytest.raises(ValueError, match="exceeds"):
+                SensorGeometry(w, h)
+
     def test_event_record_access(self):
-        ev = Events([3.5], [2.0], [0.01], [1])
-        assert ev[0] == Event(3.5, 2.0, 0.01, 1)
+        ev = Events([3.5, 4.0, 5.0], [2.0, 1.0, 0.0], [0.01, 0.02, 0.03], [1, -1, 1])
+        assert ev[1:2] == Events([4.0], [1.0], [0.02], [-1])
+        assert ev[np.array([True, False, True])] == Events([3.5, 5.0], [2.0, 0.0], [0.01, 0.03],
+                                                           [1, 1])
+        assert ev[::-1] != ev
 
     def test_window_rejects_out_of_range_events(self):
         ev = Events([1.0], [1.0], [0.5], [1])
@@ -69,7 +79,7 @@ class TestCsv:
         p = tmp_path / "one.csv"
         p.write_text("3.5,2.0,0.010,1\n")
         loaded = read_events(p)
-        assert loaded.events[0] == Event(3.5, 2.0, 0.010, 1)
+        assert loaded.events[:1] == Events([3.5], [2.0], [0.010], [1])
         assert loaded.labels is None
         assert loaded.geometry is None
 
@@ -89,7 +99,7 @@ class TestCsv:
         p.write_text("x,y,t,p\n1.0,2.0,0.5,-1\n")
         loaded = read_events(p)
         assert len(loaded.events) == 1
-        assert loaded.events[0].p == -1
+        assert loaded.events.p[0] == -1
 
     def test_label_column(self, tmp_path):
         p = tmp_path / "lab.csv"

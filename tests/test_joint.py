@@ -324,7 +324,6 @@ class TestSolve:
         cfg = JointConfig(iterations=60)
         res = solve(window, cfg)
         assert len(res.trace) == 60
-        assert len(res.warm_trace) == 30
         assert res.final.total <= res.trace[0].total
 
     def test_deterministic(self):

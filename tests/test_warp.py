@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evjoint.events import Events, EventWindow, SensorGeometry
-from evjoint.warp import MotionParams, warp, warp_jacobian
+from evjoint.warp import MotionParams, _rotation_center, warp, warp_pullback
 
 G = SensorGeometry(16, 16)
 
@@ -16,6 +16,24 @@ def _random_window(rng, n=80):
     return _window(
         rng.uniform(0, 16, n), rng.uniform(0, 16, n), np.sort(rng.uniform(0, 1, n))
     )
+
+
+def _pullback(w, theta, dpos):
+    return warp_pullback(dpos, w.positions, w.times - w.t_ref, theta, _rotation_center(w))
+
+
+def _assert_pullback_matches_central_differences(w, theta, rng, h=1e-5):
+    # the pullback of a random dpos is the gradient of sum_k dpos_k . x'_k
+    dpos = rng.normal(size=(len(w), 2))
+    got = _pullback(w, theta, dpos)
+    assert got.shape == theta.values.shape
+    for p in range(theta.dim):
+        step = np.zeros(theta.dim)
+        step[p] = h
+        plus = warp(w, MotionParams(theta.model, theta.values + step))
+        minus = warp(w, MotionParams(theta.model, theta.values - step))
+        fd = np.sum(dpos * (plus - minus)) / (2 * h)
+        assert got[p] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestMotionParams:
@@ -56,13 +74,12 @@ class TestTranslation:
         step = warp(w, t1) + dt[:, None] * t2.values[None, :]
         assert np.allclose(step, warp(w, combined), atol=1e-12)
 
-    def test_jacobian_values(self):
-        w = _window([1.0, 2.0], [3.0, 4.0], [0.5, 0.75])
-        jac = warp_jacobian(w, MotionParams.translation(1.0, 1.0))
-        assert np.allclose(jac[0], 0.0)  # dt = 0
-        assert jac[1, 0, 0] == pytest.approx(0.25)
-        assert jac[1, 1, 1] == pytest.approx(0.25)
-        assert jac[1, 0, 1] == 0.0
+    def test_pullback_values(self):
+        # dt = (-0.5, 0, 0.25): sum_k dt_k dpos_k = (-0.5 * 5 + 0.25 * 3, -0.5 * 6 + 0.25 * 4)
+        w = _window([7.0, 1.0, 2.0], [9.0, 3.0, 4.0], [0.0, 0.5, 0.75])
+        dpos = np.array([[5.0, 6.0], [1.0, 2.0], [3.0, 4.0]])
+        got = _pullback(w, MotionParams.translation(1.0, 1.0), dpos)
+        assert got.tolist() == [-1.75, -2.0]
 
 
 class TestRotation:
@@ -79,36 +96,18 @@ class TestRotation:
         assert out[0] == pytest.approx([cx - 1.0, cy], abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_jacobian_matches_central_differences(self, seed):
+    def test_pullback_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
         w = _random_window(rng, n=40)
-        omega = float(rng.uniform(-4, 4))
-        jac = warp_jacobian(w, MotionParams.rotation(omega))
-        h = 1e-5
-        plus = warp(w, MotionParams.rotation(omega + h))
-        minus = warp(w, MotionParams.rotation(omega - h))
-        fd = (plus - minus) / (2 * h)
-        scale = np.maximum(np.abs(fd), np.abs(jac[:, :, 0]))
-        scale[scale < 1e-9] = 1.0
-        assert np.max(np.abs(fd - jac[:, :, 0]) / scale) < 1e-6
+        theta = MotionParams.rotation(float(rng.uniform(-4, 4)))
+        _assert_pullback_matches_central_differences(w, theta, rng)
 
 
-def test_translation_jacobian_matches_central_differences():
+def test_translation_pullback_matches_central_differences():
     rng = np.random.default_rng(9)
     w = _random_window(rng, n=40)
     theta = MotionParams.translation(*rng.uniform(-20, 20, 2))
-    jac = warp_jacobian(w, theta)
-    h = 1e-5
-    for p in range(2):
-        tp = theta.values.copy()
-        tp[p] += h
-        tm = theta.values.copy()
-        tm[p] -= h
-        fd = (
-            warp(w, MotionParams("translation2d", tp))
-            - warp(w, MotionParams("translation2d", tm))
-        ) / (2 * h)
-        assert np.allclose(fd, jac[:, :, p], atol=1e-8)
+    _assert_pullback_matches_central_differences(w, theta, rng)
 
 
 def test_warped_events_parallel_to_source():
