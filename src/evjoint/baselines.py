@@ -10,7 +10,13 @@ import numpy as np
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
 from .joint import DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _time_scale
-from .warp import MotionParams
+from .warp import MotionParams, warp
+
+# baf_filter's work, (2r + 1)^2 neighbour offsets times (n events plus a fixed
+# per-offset cost worth BAF_OFFSET_EVENTS of them), may not exceed
+# BAF_MAX_WORK: about 10 s at the measured 70 ns a unit on a 2-core x86 box.
+BAF_MAX_WORK = 1 << 27
+BAF_OFFSET_EVENTS = 256
 
 
 @dataclass(frozen=True)
@@ -34,10 +40,10 @@ class BafConfig:
             raise ValueError("min_support must be at least 1")
 
 
-def _squeeze(coord: np.ndarray, radius: int) -> np.ndarray:
-    # pixels floor(coord) renumbered from `radius` up, each gap wider than
+def _squeeze(pixels: np.ndarray, radius: int) -> np.ndarray:
+    # integer-valued pixels renumbered from `radius` up, each gap wider than
     # `radius` cut to radius + 1 (exact via uint64): neighbours stay neighbours
-    px, inv = np.unique(np.floor(coord).astype(np.int64), return_inverse=True)
+    px, inv = np.unique(pixels.astype(np.int64), return_inverse=True)
     steps = np.minimum(np.diff(px.view(np.uint64)), radius + 1).astype(np.int64)
     return np.concatenate(([radius], radius + np.cumsum(steps)))[inv]
 
@@ -51,12 +57,18 @@ def baf_filter(window: EventWindow, cfg: BafConfig) -> np.ndarray:
     float64. The count is exact, ties included. Each event gets one integer
     key, its pixel id times (N + 1) plus its time rank; after one sort, two
     binary searches per neighbour pixel count that pixel's events in the time
-    interval: O(N log N) for a fixed radius.
+    interval: O(N log N) for a fixed radius. A radius past the pixel spread is
+    cut to it (the counts stay exact); past BAF_MAX_WORK, ValueError.
     """
-    n, r = len(window), cfg.radius
-    ev = window.events
+    n, ev = len(window), window.events
     t = ev.t  # window events are time-sorted
-    cx, cy = _squeeze(ev.x, r), _squeeze(ev.y, r)
+    px, py = np.floor(ev.x), np.floor(ev.y)
+    r = int(min(cfg.radius, max(np.ptp(px), np.ptp(py)) if n else 0))
+    work = (2 * r + 1) ** 2 * (n + BAF_OFFSET_EVENTS)
+    if work > BAF_MAX_WORK:
+        raise ValueError(f"BAF radius {r} on a window of {n} events needs {work} units of "
+                         f"work, over the filter's work bound of {BAF_MAX_WORK}")
+    cx, cy = _squeeze(px, r), _squeeze(py, r)
     width = int(cx.max(initial=0)) + r + 1
     if (int(cy.max(initial=0)) + r + 1) * width * (n + 1) >= 2**63:
         raise ValueError("window too large for the BAF filter's int64 keys")
@@ -87,8 +99,9 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParam
 
 def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:
     """A density filter's labels `keep` with motion theta; the confidence map
-    is the binary mask of pixels holding at least one kept event."""
-    kept_mask = hard_map(window.positions[keep], window.geometry).values > 0
+    is the binary mask of pixels holding at least one kept event warped by
+    theta, the frame `solve`'s map is in and where callers sample it."""
+    kept_mask = hard_map(warp(window, theta)[keep], window.geometry).values > 0
     return JointResult(theta, ConfidenceMap.from_weights_mask(kept_mask), keep)
 
 

@@ -75,15 +75,6 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--log", choices=("text", "json"), default="text",
-                        help="per-iteration trace on stdout: json prints one object per "
-                             "iteration, text prints none")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="inner parallelism bound (recorded; reductions stay deterministic)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-
-
 def _sidecar(path, command: str, args: argparse.Namespace, extra: dict) -> None:
     record = {
         "tool": "evjoint",
@@ -154,6 +145,9 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-count", type=int, default=None)
     parser.add_argument("--sort", action="store_true",
                         help="sort events by time instead of rejecting unsorted input")
+    parser.add_argument("--log", choices=("text", "json"), default="text",
+                        help="per-iteration trace on stdout: json prints one object per "
+                             "iteration, text prints none")
 
 
 def _solve_windows(args: argparse.Namespace, method):
@@ -388,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contrast", type=float, default=1.0)
     p.add_argument("--noise-rate", type=float, default=0.0)
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--threads", type=int, default=1, help="recorded in the sidecar only")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("denoise", help="label events signal/noise and write them back")
@@ -400,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baf-radius", type=int, default=1)
     p.add_argument("--baf-min-support", type=int, default=1)
     _add_joint_flags(p)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="recorded in the sidecar only")
+    p.add_argument("--threads", type=int, default=1, help="recorded in the sidecar only")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("estimate-motion", help="per-window motion estimates to CSV")
@@ -409,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("joint", "cmax"), default="joint")
     p.add_argument("--geometry", default=None)
     _add_joint_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_estimate_motion)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -421,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmse", default=None, help="estimated trajectory CSV")
     p.add_argument("--gt", default=None, help="ground-truth trajectory CSV")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="accumulate events into an image")
@@ -433,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hard", action="store_true", help="per-pixel counts instead of smooth mass")
     p.add_argument("--geometry", default=None)
     p.add_argument("--sort", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_render)
 
     return parser

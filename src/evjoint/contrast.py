@@ -62,17 +62,15 @@ class ContrastMap:
             raise ValueError("map shape does not match geometry")
 
 
-def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Numerically stable logistic function: 1 / (1 + e) where x >= 0, else
-    e / (1 + e), with e = exp(-|x|); into out and scratch (1 + e) if given."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.abs(x, out=out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    q = np.add(1.0, e, out=scratch)
-    pos = x >= 0
-    np.divide(e, q, out=e, where=~pos)
-    return np.divide(1.0, q, out=e, where=pos)
+def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-x)) as 0.5 (1 + tanh(x / 2)), in place into out if
+    given: within 2.2e-16 of the exp form, exactly 1.0 / 0.0 at +-1000, and 0.0
+    below about x = -37, where the exp form returns about exp(x)."""
+    y = np.multiply(x, 0.5, out=out, dtype=np.float64)
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,12 @@ class Events:
 
     Coordinates are real-valued so the same container carries raw and
     warped events. Indexing with a slice, mask or index array selects a
-    sub-stream; there are no per-event record objects.
+    sub-stream; a scalar index raises TypeError and the stream is not
+    iterable, since there are no per-event record objects.
     """
 
     __slots__ = ("x", "y", "t", "p")
+    __iter__ = None
 
     def __init__(self, x, y, t, p, validate: bool = True):
         self.x = np.ascontiguousarray(x, dtype=np.float64)
@@ -102,7 +104,10 @@ class Events:
         return self.x.shape[0]
 
     def __getitem__(self, idx) -> "Events":
-        return Events(self.x[idx], self.y[idx], self.t[idx], self.p[idx], validate=False)
+        x = self.x[idx]
+        if x.ndim != 1:
+            raise TypeError(f"Events takes a slice, mask or index array, not {type(idx).__name__}")
+        return Events(x, self.y[idx], self.t[idx], self.p[idx], validate=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Events):
@@ -124,11 +129,6 @@ class Events:
 
     def is_time_sorted(self) -> bool:
         return len(self) < 2 or bool(np.all(np.diff(self.t) >= 0.0))
-
-    def sorted_by_time(self):
-        """Stable time sort. Returns (events, permutation)."""
-        order = np.argsort(self.t, kind="stable")
-        return self.take(order), order
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,8 @@ def read_events(path, sort: bool = False) -> LoadedStream:
     if not events.is_time_sorted():
         if not sort:
             raise FormatError(f"{path}: timestamps are not non-decreasing (use sort=True)")
-        events, order = events.sorted_by_time()
+        order = np.argsort(events.t, kind="stable")
+        events = events[order]
         if labels is not None:
             labels = labels[order]
     return LoadedStream(events, labels, geometry)

@@ -198,7 +198,7 @@ def _resolve_alpha(cfg: JointConfig) -> float:
 
 class _Workspace:
     """What every evaluation on one window writes into or reuses: a SplatWork
-    (within contrast.WORKSPACE_LIMIT_BYTES), eight H x W maps and the
+    (within contrast.WORKSPACE_LIMIT_BYTES), seven H x W maps and the
     theta-free warp inputs (positions, time offsets, rotation center), 24
     bytes per event. `solve` builds one per window (`_descend` one per call
     when given none); it is dropped with that call and never kept in
@@ -209,8 +209,8 @@ class _Workspace:
         self.positions = window.positions
         self.dt = window.times - window.t_ref
         self.center = _rotation_center(window)
-        (self.dev, self.wts, self.adev, self.wm1, self.resid, self.coef, self.dlogits,
-         self.tmp) = np.empty((8,) + window.geometry.shape)
+        (self.dev, self.wts, self.adev, self.resid, self.coef, self.dlogits,
+         self.tmp) = np.empty((7,) + window.geometry.shape)
 
 
 def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool,
@@ -226,56 +226,49 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
         ws = _Workspace(window, cfg.sigma)
     cache = _splat(warp_positions(ws.positions, ws.dt, theta, ws.center), window.geometry,
                    cfg.sigma, ws.splat)
-    m = cache.values
+    m, tmp = cache.values, ws.tmp
     n_pix = m.size
     mu_m = m.mean()
     dev = np.subtract(m, mu_m, out=ws.dev)
-    f_ea = float(np.square(dev, out=ws.tmp).mean())
+    f_ea = float(np.square(dev, out=tmp).mean())
     r_ea = b_ea - f_ea
     if logits is None:
-        nan = math.nan
+        nan = r_ed = math.nan
         parts = ObjectiveParts(f_ea, nan, r_ea, nan, r_ea, nan, nan, r_ea)
-        if not want_grads:
-            return parts, None, None
-        coef_m, dlogits = np.multiply(-(2.0 / n_pix), dev, out=ws.coef), None
     else:
-        wts = sigmoid(logits, out=ws.wts, scratch=ws.tmp)
+        wts = sigmoid(logits, out=ws.wts)
         adev = np.multiply(wts, m, out=ws.adev)
         mu_w = adev.mean()
         adev -= mu_w
-        f_ed = float(np.square(adev, out=ws.tmp).mean())
+        f_ed = float(np.square(adev, out=tmp).mean())
         r_ed = f_ed - b_ed
         worst = max(r_ea, r_ed)
         l1 = float(wts.sum())
-        wm1 = np.subtract(wts, 1.0, out=ws.wm1)
-        resid = np.multiply(wm1, m, out=ws.resid)
-        fidelity = float(np.square(resid, out=ws.tmp).sum())
+        resid = np.multiply(np.subtract(wts, 1.0, out=ws.resid), m, out=ws.resid)
+        fidelity = float(np.square(resid, out=tmp).sum())
         total = worst + alpha * l1 + cfg.beta * fidelity
         parts = ObjectiveParts(f_ea, f_ed, r_ea, r_ed, worst, l1, fidelity, total)
-        if not want_grads:
-            return parts, None, None
+    # subgradient of max(r_ea, r_ed), r_ed weighted by w_ed and r_ea by w_ea = 1 - w_ed:
+    # off a tie the inactive regret's terms are +-0 and leave the active one's bits
+    w_ed = 0.5 * ((r_ed > r_ea) + (r_ed >= r_ea))  # 1, 0 or 1/2 on a tie; 0 if r_ed is NaN
+    if not want_grads:
+        return parts, None, None
 
-        # subgradient of max(r_ea, r_ed): active branch, averaged on a tie.
-        # dlogits first holds the regret's own logit term dlog_r; each line
-        # keeps the operation order of the formula in its comment.
-        coef_m, dlogits, tmp = ws.coef, ws.dlogits, ws.tmp
-        if r_ea > r_ed:
-            np.multiply(-(2.0 / n_pix), dev, out=coef_m)  # -(2/n) (m - mu_m)
-            dlogits.fill(0.0)
-        elif r_ed > r_ea:
-            np.multiply(np.multiply(2.0 / n_pix, adev, out=coef_m), wts, out=coef_m)
-            np.multiply(np.multiply(2.0 / n_pix, adev, out=dlogits), m, out=dlogits)
-        else:  # (1/n) ((a - mu_w) wts - (m - mu_m)) and (1/n) (a - mu_w) m
-            np.multiply(np.subtract(np.multiply(adev, wts, out=coef_m), dev, out=coef_m),
-                        1.0 / n_pix, out=coef_m)
-            np.multiply(np.multiply(1.0 / n_pix, adev, out=dlogits), m, out=dlogits)
-        # coef_m + 2 beta (wts - 1) resid; (dlog_r + alpha + 2 beta resid m) wts (1 - wts)
-        coef_m += np.multiply(np.multiply(2.0 * cfg.beta, wm1, out=tmp), resid, out=tmp)
+    coef = np.multiply(-(2.0 * (1.0 - w_ed) / n_pix), dev, out=ws.coef)  # -(2 w_ea / n) dev
+    dlogits = None
+    if logits is not None:
+        # dlog_r = (2 w_ed / n) (a - mu_w) m; its coef term has wts for m
+        dlogits = np.multiply(2.0 * w_ed / n_pix, adev, out=ws.dlogits)
+        coef += np.multiply(dlogits, wts, out=tmp)
+        dlogits *= m
+        # coef + 2 beta (wts - 1) resid; (dlog_r + alpha + 2 beta resid m) wts (1 - wts)
+        coef += np.multiply(np.multiply(2.0 * cfg.beta, np.subtract(wts, 1.0, out=tmp), out=tmp),
+                            resid, out=tmp)
         dlogits += alpha
         dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
         dlogits *= wts
         dlogits *= np.subtract(1.0, wts, out=tmp)
-    dtheta = warp_pullback(cache.position_gradient(coef_m), ws.positions, ws.dt, theta, ws.center)
+    dtheta = warp_pullback(cache.position_gradient(coef), ws.positions, ws.dt, theta, ws.center)
     return parts, dtheta, dlogits
 
 
@@ -378,7 +371,7 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
     theta = MotionParams(model, phi / tspan)
     final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False,
                             ws=ws)
-    labels = interpolate_confidence(sigmoid(logits), warp(window, theta)) >= cfg.tau
+    labels = interpolate_confidence(ws.wts, warp(window, theta)) >= cfg.tau
     return JointResult(
         theta=theta,
         conf=ConfidenceMap(logits),

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evjoint.baselines import BafConfig, baf_filter, cmax_solve, sequential_pipeline
-from evjoint.contrast import smooth_map
+from evjoint.baselines import (BAF_MAX_WORK, BAF_OFFSET_EVENTS, BafConfig, baf_filter,
+                               cmax_solve, sequential_pipeline)
+from evjoint.contrast import hard_map, smooth_map
 from evjoint.events import Events, EventWindow, SensorGeometry
 from evjoint.joint import ExplicitBaseline, JointConfig, solve
 from evjoint.synth import Dot, MultiEdge, SceneSpec, generate
@@ -93,6 +94,25 @@ class TestBafFilter:
         w = EventWindow(ev, G, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="int64"):
             baf_filter(w, BafConfig(radius=3))
+
+    def test_radius_past_the_pixel_spread_is_exact(self):
+        # r is cut to the 64x64 window's pixel spread before the loop
+        rng = np.random.default_rng(4)
+        n = 150
+        w = _window_from(rng.uniform(0, 64, n), rng.uniform(0, 64, n),
+                         np.sort(rng.uniform(0, 0.05, n)))
+        for radius in (40, 3000):
+            cfg = BafConfig(dt_max=0.0003, radius=radius, min_support=2)
+            assert np.array_equal(baf_filter(w, cfg), brute_force_baf(w, cfg))
+
+    def test_work_bound_rejected_before_the_loop(self):
+        # two events 10^6 px apart: the spread does not cut r = 5000, and
+        # (2r + 1)^2 (n + BAF_OFFSET_EVENTS) is far past the bound
+        w = _window_from([0.5, 1e6], [0.5, 0.5], [0.0, 0.001])
+        assert 10001**2 * (2 + BAF_OFFSET_EVENTS) > BAF_MAX_WORK
+        with pytest.raises(ValueError, match="work bound"):
+            baf_filter(w, BafConfig(radius=5000))
+        assert baf_filter(w, BafConfig(radius=10)).tolist() == [False, False]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +247,19 @@ class TestSequential:
         assert wts[5, 5] == 1.0
         assert wts[40, 40] == 0.0
         assert set(np.unique(wts)) == {0.0, 1.0}
+
+    def test_confidence_mask_in_the_warped_frame(self):
+        # the kept-pixel mask is built where the sidecar samples it: at the
+        # kept events warped by the estimated motion
+        spec = SceneSpec(G, Dot((24.0, 30.0), 6.0), MotionParams.translation(30.0, 12.0),
+                         0.25, noise_rate=0.08)
+        window, _, _ = generate(spec, seed=13)
+        res = sequential_pipeline(window, BafConfig(), JointConfig(iterations=60))
+        assert np.linalg.norm(res.theta.values) > 10.0
+        expected = hard_map(warp(window, res.theta)[res.labels], G).values > 0
+        raw = hard_map(window.positions[res.labels], G).values > 0
+        assert not np.array_equal(expected, raw)
+        assert np.array_equal(res.conf.weights, expected)
 
     def test_drifting_sparse_dot_loses_signal(self):
         spec = SceneSpec(G, Dot((16.0, 32.0), 4.0), MotionParams.translation(20.0, 5.0),

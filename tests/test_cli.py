@@ -350,6 +350,55 @@ class TestSensorSizeBound:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["huge.evj", "in.csv"]
 
 
+class TestBafRadiusBound:
+    def test_huge_radius_exits_two(self, tmp_path):
+        # one 100 ms window of the 128x128 benchmark CSV scene, ~35k events:
+        # r = 3000 is cut to the 127 px pixel spread and is still far past
+        # baselines.BAF_MAX_WORK; unbounded, the filter loops 36M times
+        assert run("synth", "--pattern", "multi-edge", "--spacing", "8", "--geometry", "128x128",
+                   "--motion", "60,-20", "--duration", "0.1", "--noise-rate", "0.1",
+                   "--seed", "1", "-o", str(tmp_path / "in.evj")) == 0
+        proc = TestSensorSizeBound._run_limited(tmp_path, "denoise", "--method", "baf",
+                                                "--baf-radius", "3000", "-i", "in.evj",
+                                                "-o", "o.evj")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and "BAF radius 127" in err[0] and "work bound" in err[0]
+        assert not (tmp_path / "o.evj").exists()
+
+
+class TestFlags:
+    """--log belongs to the solver commands; --seed and --threads only to
+    synth and denoise (the reproducibility criterion passes both to both)."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("estimate-motion", "--seed=1"), ("estimate-motion", "--threads=1"),
+        ("eval", "--seed=1"), ("eval", "--threads=1"),
+        ("render", "--seed=1"), ("render", "--threads=1"),
+        ("synth", "--log=json"), ("eval", "--log=json"), ("render", "--log=json"),
+    ])
+    def test_flag_rejected(self, synth_file, tmp_path, capsys, command, flag):
+        argv = {
+            "synth": ["-o", str(tmp_path / "s.evj")],
+            "estimate-motion": ["-i", str(synth_file), "-o", str(tmp_path / "m.csv"),
+                                "--method", "cmax", "--iters", "2"],
+            "eval": ["--pred", str(synth_file), "--truth", str(synth_file)],
+            "render": ["-i", str(synth_file), "-o", str(tmp_path / "r.pgm")],
+        }[command]
+        assert run(command, *argv) == 0
+        capsys.readouterr()
+        assert run(command, *argv, flag) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_denoise_records_seed_threads_and_log(self, synth_file, tmp_path):
+        out = tmp_path / "out.evj"
+        assert run("denoise", "-i", str(synth_file), "-o", str(out), "--method", "baf",
+                   "--seed", "5", "--threads", "2", "--log", "json") == 0
+        config = json.loads((tmp_path / "out.evj.json").read_text())["config"]
+        assert (config["seed"], config["threads"], config["log"]) == (5, 2, "json")
+
+
 class TestReproducibility:
     def test_same_invocation_bitwise_identical(self, tmp_path):
         args = ("synth", "--pattern", "dot", "--center", "30,30", "--radius", "5",

@@ -11,6 +11,7 @@ from evjoint.contrast import (
     ConfidenceMap,
     ContrastMap,
     hard_map,
+    sigmoid,
     smooth_map,
     weighted_map,
 )
@@ -27,6 +28,23 @@ def brute_count(positions, geometry):
         if 0 <= j < geometry.width and 0 <= i < geometry.height:
             out[i, j] += 1
     return out
+
+
+class TestSigmoid:
+    def test_matches_exp_form(self):
+        x = np.linspace(-40.0, 40.0, 80_001)
+        assert np.max(np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 4.5e-16
+
+    def test_saturates_exactly(self):
+        # ConfidenceMap.from_weights_mask relies on these being exact
+        assert sigmoid(np.array([1000.0, -1000.0])).tolist() == [1.0, 0.0]
+
+    def test_writes_out_in_place(self):
+        x = np.array([[-3.0, 0.0], [0.5, 7.0]])
+        out = np.full_like(x, np.nan)
+        assert sigmoid(x, out=out) is out
+        assert np.array_equal(out, sigmoid(x)) and out[0, 1] == 0.5
+        assert np.array_equal(x, [[-3.0, 0.0], [0.5, 7.0]])
 
 
 class TestHardMap:

@@ -64,6 +64,19 @@ class TestTypes:
                                                            [1, 1])
         assert ev[::-1] != ev
 
+    def test_scalar_index_and_iteration_rejected(self):
+        # a scalar index used to return a one-event stream, and iteration
+        # fell back to it, yielding N one-event streams
+        ev = Events([3.5, 4.0, 5.0], [2.0, 1.0, 0.0], [0.01, 0.02, 0.03], [1, -1, 1])
+        for idx in (1, -1, np.int64(0)):
+            with pytest.raises(TypeError):
+                ev[idx]
+        with pytest.raises(TypeError):
+            ev.take(2)
+        with pytest.raises(TypeError):
+            [len(e) for e in ev]
+        assert len(ev[np.array([0, 2])]) == 2 and len(ev.take([1])) == 1
+
     def test_window_rejects_out_of_range_events(self):
         ev = Events([1.0], [1.0], [0.5], [1])
         with pytest.raises(ValueError):

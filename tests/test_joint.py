@@ -291,6 +291,28 @@ class TestObjectiveGradients:
             fd[p] = (evaluate(tp, False)[0].total - evaluate(tm, False)[0].total) / (2 * h)
         assert np.linalg.norm(fd - dtheta) / max(np.linalg.norm(fd), 1e-12) < 1e-6
 
+    @pytest.mark.parametrize("theta", [MotionParams.translation(3.0, -2.0),
+                                       MotionParams.rotation(1.5)], ids=lambda t: t.model)
+    def test_tie_averages_the_one_sided_gradients(self, theta):
+        # at r_ea == r_ed == 0 the subgradient of max(r_ea, r_ed) is the mean
+        # of the gradients with either regret active (b_ea shifted by +-1)
+        logits = self.rng.normal(size=G16.shape)
+        cfg = JointConfig(alpha=2e-3, beta=1e-2)
+
+        def grads(b_ea, b_ed):
+            return _evaluate(self.window, theta, logits, cfg, cfg.alpha, b_ea, b_ed, True)
+
+        start, _, _ = _evaluate(self.window, theta, logits, cfg, cfg.alpha, 0.0, 0.0, False)
+        tie, dtheta, dlogits = grads(start.f_ea, start.f_ed)
+        assert tie.r_ea == tie.r_ed == 0.0
+        ea, dtheta_ea, dlogits_ea = grads(start.f_ea + 1.0, start.f_ed)
+        ed, dtheta_ed, dlogits_ed = grads(start.f_ea - 1.0, start.f_ed)
+        assert ea.r_ea > ea.r_ed and ed.r_ed > ed.r_ea
+        for got, one, other in [(dtheta, dtheta_ea, dtheta_ed),
+                                (dlogits, dlogits_ea, dlogits_ed)]:
+            mean = 0.5 * (one + other)
+            assert np.max(np.abs(got - mean)) <= 1e-12 * np.max(np.abs(mean))
+
     def test_ed_branch_theta_gradient_nonzero(self):
         cfg = JointConfig(alpha=0.0, beta=0.0, b_ea=ExplicitBaseline(-1e6))
         dtheta, _ = objective_gradients(self.window, MotionParams.translation(2.0, 2.0),
