@@ -1,16 +1,12 @@
 """Contrast maps: per-pixel event mass, weighted variants, position gradients.
 
-Two accumulation flavors are provided. ``hard_map`` counts events per pixel
-cell. ``smooth_map`` replaces each event by an isotropic 2-D Gaussian
-evaluated at pixel centers, which makes the map (and everything built on
-it) differentiable with respect to event positions. Each kernel is
-truncated to +-ceil(4 sigma) pixel taps per axis (``TRUNCATE_SIGMAS``), so
-the first dropped tap centre is at least ceil(4 sigma) + 1/2 px from the
-event and the dropped mass is of order 1e-5 of a unit kernel at sigma = 1.
-
-``SplatCache`` is the one splat kernel, in numpy: it runs tap-major over
-fixed-size event chunks on a padded map, and the same taps serve the
-position gradient, writing into the buffers of a ``SplatWork``.
+``hard_map`` counts events per pixel cell. ``smooth_map``, the image of
+events smoothed by a Gaussian of width sigma (Gallego, Rebecq & Scaramuzza,
+CVPR 2018), is differentiable in the event positions. Its one kernel,
+``SplatCache``, votes each event into 4 x 4 pixels with cubic B-spline
+weights (variance 1/3 px^2 per axis, C^2), then blurs the votes once with a
+separable sampled Gaussian of variance sigma^2 - 1/3, so sigma > 1/sqrt(3).
+The position gradient is the adjoint: blur, then gather 16 taps per event.
 """
 
 from __future__ import annotations
@@ -24,30 +20,28 @@ from .events import SensorGeometry
 
 SIGMA_DEFAULT = 1.0
 
-# There is no compiled kernel; benchmarks/layers.py reads this to name the
-# backend.
-_HAVE_NUMBA = False
+_HAVE_NUMBA = False  # no compiled kernel; benchmarks/layers.py names the backend
 
-# Kernel support half-width in sigmas. An event at x keeps the taps
-# floor(x) - ceil(4 sigma) ... floor(x) + ceil(4 sigma) on each axis, so
-# every dropped tap centre lies at least d = ceil(4 sigma) + 1/2 px from
-# the event along x or y. Summing the decreasing Gaussian tail beyond d on
-# both sides of both axes bounds the
-# dropped mass of a unit kernel by 4 * (Q(d / sigma) + phi(d / sigma) / sigma),
-# with phi and Q the standard normal density and upper tail: 7.8e-5 at
-# sigma = 1 (the worst case over sub-pixel offsets is 3.2e-5), and below
-# 2e-4 for every sigma since d / sigma > 4. That is small enough that the
-# cutoff never shows up in finite-difference gradient checks at 1e-4 steps.
+_VOTE_VARIANCE = 1.0 / 3.0  # per axis, of the cubic B-spline vote, px^2
+
+# Blur half-width in blur sigmas. The blur is normalized to sum 1, so it
+# drops no mass; its cut tails hold at most 2 Q(4) = 6.3e-5 per axis of the
+# untruncated sampled Gaussian (7e-9 at sigma = 1).
 TRUNCATE_SIGMAS = 4.0
 
-# Taps per event chunk in the splat kernel. Each chunk's (S, S, chunk) index
-# and weight blocks (256 KB here) stay cache-sized and bound the kernel's
-# working memory; much smaller chunks pay numpy's per-call overhead instead.
+# Vote taps (16 per event) per event chunk. Each chunk's (4, 4, C) index and
+# weight blocks (256 KB here) stay cache-sized and bound the kernel's working
+# memory; much smaller chunks pay numpy's per-call overhead instead.
 _CHUNK_TAPS = 32768
 
 # Bound on a SplatWork (see kernel_size): it admits a 4096 x 4096 sensor at
-# sigma = 1 and, on a 1 x 1 sensor, sigma up to 323.5.
+# sigma = 1 and, on a 1 x 1 sensor, sigma up to 361.5.
 WORKSPACE_LIMIT_BYTES = 1 << 29
+
+# Cubic B-spline weights of the taps floor(u) - 1 ... floor(u) + 2 (rows
+# 0-3) and their derivatives (rows 4-7): coefficients of 1, t, t^2, t^3.
+_SPLINE = np.array([[1, -3, 3, -1], [4, 0, -6, 3], [1, 3, 3, -3], [0, 0, 0, 1],
+                    [-3, 6, -3, 0], [0, -12, 9, 0], [3, 6, -9, 0], [0, 0, 3, 0]]) / 6.0
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,9 @@ def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
 class ConfidenceMap:
     """Per-pixel signal confidence, stored as unconstrained logits.
 
-    The usable weights are sigmoid(logits), strictly inside (0, 1), so
-    gradient-based updates never need projection.
+    The usable weights are sigmoid(logits) in [0, 1], so gradient-based
+    updates never need projection; they are exactly 1.0 / 0.0 at
+    from_weights_mask's +-1000 and beyond about +37 / -38.
     """
 
     logits: np.ndarray
@@ -114,61 +109,69 @@ def hard_map(positions: np.ndarray, geometry: SensorGeometry) -> ContrastMap:
 
 
 def kernel_size(sigma: float, shape: tuple[int, int] = (1, 1)) -> tuple[int, int]:
-    """(tap half-width ceil(4 sigma), events per chunk) of the kernel. Raises
-    ValueError, before anything is allocated, unless sigma is positive and
-    finite and a SplatWork on an H x W sensor fits in WORKSPACE_LIMIT_BYTES."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    half = math.ceil(TRUNCATE_SIGMAS * sigma)
-    s = 2 * half + 1
-    step = max(1, _CHUNK_TAPS // (s * s))
-    h, w = shape
-    size = 8 * (2 * (h + 2 * s) * (w + 2 * s) + h * w + 2 * s * s * step + 4 * s * step)
+    """(blur half-width ceil(4 sigma'), sigma'^2 = sigma^2 - 1/3, events per
+    chunk). Raises ValueError, before anything is allocated, unless sigma is
+    finite and above 1/sqrt(3) and an H x W SplatWork fits the bound."""
+    if not (0 < sigma < math.inf and sigma * sigma > _VOTE_VARIANCE):
+        raise ValueError(f"sigma must be finite and above 1/sqrt(3) = 0.577, the cubic "
+                         f"vote's own spread, got {sigma}")
+    half = math.ceil(TRUNCATE_SIGMAS * sigma * math.sqrt(1.0 - _VOTE_VARIANCE / (sigma * sigma)))
+    h, w, step = *shape, _CHUNK_TAPS // 16
+    pad = max(2 * half, half + 4)
+    size = 8 * (2 * (h + 2 * pad) * (w + 2 * pad) + h * w + 59 * step)
     if size > WORKSPACE_LIMIT_BYTES:
         raise ValueError(f"sigma = {sigma:g} on a {w}x{h} sensor needs a splat workspace "
                          f"over the {WORKSPACE_LIMIT_BYTES >> 20} MiB bound")
     return half, step
 
 
+def _blur(source: np.ndarray, out: np.ndarray, scratch: np.ndarray, taps: np.ndarray) -> None:
+    """out = source correlated with taps along rows, then columns, via scratch."""
+    rows = scratch[:out.shape[0], :source.shape[1]]
+    view = np.lib.stride_tricks.sliding_window_view
+    np.einsum("ijk,k->ij", view(source, len(taps), axis=0), taps, out=rows)
+    np.einsum("ijk,k->ij", view(rows, len(taps), axis=1), taps, out=out)
+
+
 class SplatWork:
     """The splat kernel's buffers for one geometry, sigma and event count, at
-    most WORKSPACE_LIMIT_BYTES: the padded map, the padded coefficient grid
-    (zero padding), the cropped map and one chunk's (S, S, C) int64 and
-    float64 tap blocks and two (2, S, C) blocks. Every splat and gradient
-    overwrites them. The caller owns it for as many splats of one window as
-    it likes; a SplatCache built without one makes its own."""
+    most WORKSPACE_LIMIT_BYTES: the vote map padded by P = max(2 half, half +
+    4) pixels (later the blurred coefficient grid), a blur scratch map of its
+    size, the cropped map and one chunk's votes. Every splat and gradient
+    overwrites them; the caller may reuse it for any number of splats."""
 
-    __slots__ = ("geometry", "sigma", "half", "step", "crop", "offsets", "centres",
-                 "padded", "coef", "values", "lin", "block", "d", "g")
+    __slots__ = ("geometry", "sigma", "half", "step", "pad", "taps", "offsets", "hi", "padded",
+                 "regions", "scratch", "values", "pw", "f", "base", "w", "lin", "block")
 
     def __init__(self, geometry: SensorGeometry, sigma: float, n_events: int):
         half, self.step = kernel_size(sigma, geometry.shape)
         self.geometry, self.sigma, self.half = geometry, float(sigma), half
         h, w = geometry.shape
-        s = 2 * half + 1
-        self.crop = (slice(s, s + h), slice(s, s + w))
-        # flat padded index of each tap from the event's first tap, and the
-        # tap centres' offsets from the event's pixel corner
-        self.offsets = (np.arange(s)[:, None] * (w + 2 * s) + np.arange(s))[:, :, None]
-        self.centres = (np.arange(-half, half + 1) + 0.5)[:, None]
-        self.padded, self.coef = np.zeros((2, h + 2 * s, w + 2 * s))
+        p = self.pad = max(2 * half, half + 4)
+        taps = np.exp(-0.5 * np.arange(-half, half + 1) ** 2 / (sigma * sigma - _VOTE_VARIANCE))
+        self.taps = taps / taps.sum()
+        self.padded, self.scratch = np.zeros((2, h + 2 * p, w + 2 * p))
         self.values = np.empty((h, w))
+        # the padded map's pixels within 0, half and 2 half of the sensor
+        self.regions = [self.padded[p - r:p + h + r, p - r:p + w + r] for r in (0, half, 2 * half)]
+        # flat padded index of each vote from the event's first one, and the
+        # first vote's upper clip per axis (x, y), in padded pixels
+        self.offsets = (np.arange(4)[:, None] * (w + 2 * p) + np.arange(4))[:, :, None]
+        self.hi = np.array([[p + w + half], [p + h + half]])
         c = min(self.step, n_events)
-        self.lin, self.block = np.empty(s * s * c, dtype=np.int64), np.empty(s * s * c)
-        self.d, self.g = np.empty((2, 2 * s * c))
+        self.pw, self.f, self.w, self.block = (np.empty(k * c) for k in (8, 2, 16, 16))
+        self.base, self.lin = np.empty(c, dtype=np.int64), np.empty(16 * c, dtype=np.int64)
 
 
 class SplatCache:
-    """One Gaussian splat of a position set; reusable for gradient passes.
+    """One splat of a position set; reusable for gradient passes.
 
-    The kernel works on the map padded by S = 2 ceil(4 sigma) + 1 pixels on
-    every side, so taps that fall off the sensor land in the padding and need
-    no mask; an event whose whole support is off the sensor is pinned just
-    outside it. It writes into `work` (a fresh SplatWork when None), so
-    `values` lasts until the next splat into the same work.
-    """
+    Votes off the sensor land in the padding, so need no mask; an event the
+    blur cannot carry onto the sensor is pinned just outside that reach. It
+    writes into `work` (a fresh SplatWork when None), so `values` lasts until
+    the next splat into the same work."""
 
-    __slots__ = ("geometry", "sigma", "positions", "values", "work", "_base", "_frac")
+    __slots__ = ("geometry", "sigma", "positions", "values", "work")
 
     def __init__(self, positions: np.ndarray, geometry: SensorGeometry, sigma: float,
                  work: SplatWork | None = None):
@@ -178,47 +181,41 @@ class SplatCache:
         if (work.geometry, work.sigma) != (geometry, float(sigma)):
             raise ValueError("splat workspace was built for another geometry or sigma")
         self.geometry, self.sigma, self.work = geometry, float(sigma), work
-        half = work.half
-        h, w = geometry.shape
-        s = 2 * half + 1
-        # each event's first-tap index in the padded map and sub-pixel position
-        p = np.ascontiguousarray(self.positions.T)
-        f = np.floor(p)
-        bx = np.clip(f[0], -half - 1, w + half).astype(np.int64)
-        by = np.clip(f[1], -half - 1, h + half).astype(np.int64)
-        self._base = (by + half + 1) * (w + 2 * s) + (bx + half + 1)
-        self._frac = p - f
         work.padded.fill(0.0)
-        for _, lin, g, _ in self._chunks():
-            taps = np.multiply(g[1, :, None, :], g[0, None, :, :],
-                               out=work.block[:lin.size].reshape(lin.shape))
-            np.add.at(work.padded.ravel(), lin.ravel(), taps.ravel())
-        np.copyto(work.values, work.padded[work.crop])
+        for _, lin, w, _ in self._chunks():
+            votes = np.multiply(w[:, 1, None, :], w[None, :, 0, :],
+                                out=work.block[:lin.size].reshape(lin.shape))
+            np.add.at(work.padded.ravel(), lin.ravel(), votes.ravel())
+        _blur(work.regions[1], work.values, work.scratch, work.taps)
         self.values = work.values
 
     def _chunks(self):
-        """Taps of the kernel, about _CHUNK_TAPS per event chunk, in a fixed
-        order, in the work's buffers: yields (events, lin, g, d), the chunk's
-        event slice, the flat padded index of every tap (S, S, C), and per
-        axis, tap-major, the kernel weights g (2-D normalization on y) and
-        the offsets d of the tap centres from the events, (2, S, C)."""
+        """Votes per event chunk, in a fixed order, in the work's buffers:
+        yields (events, lin, w, dw), the chunk's event slice, the flat padded
+        index of every vote (4, 4, C) (y, x, event), and per tap and axis
+        (x, y) the weights w and their position derivatives dw, (4, 2, C)."""
         work = self.work
-        s = 2 * work.half + 1
-        inv2s2 = -0.5 / (self.sigma * self.sigma)
-        norm2 = 1.0 / (2.0 * math.pi * self.sigma * self.sigma)
-        n = len(self._base)
+        n = len(self.positions)
         for k in range(0, n, work.step):
             c = slice(k, min(k + work.step, n))
-            size = c.stop - k
-            d = np.subtract(work.centres, self._frac[:, None, c],
-                            out=work.d[:2 * s * size].reshape(2, s, size))
-            g = np.multiply(d, d, out=work.g[:d.size].reshape(d.shape))
-            g *= inv2s2
-            np.exp(g, out=g)
-            g[1] *= norm2
-            lin = np.add(work.offsets, self._base[c],
-                         out=work.lin[:s * s * size].reshape(s, s, size))
-            yield c, lin, g, d
+            m = c.stop - k
+            # f = floor(u) + P - 1, u = position - 1/2: the first vote in padded
+            # pixels; powers 1, t, t^2, t^3 of t = u - floor(u)
+            pw = work.pw[:8 * m].reshape(4, 2, m)
+            t = np.add(self.positions[c].T, work.pad - 1.5, out=pw[1])
+            f = np.floor(t, out=work.f[:2 * m].reshape(2, m))
+            t -= f
+            pw[0] = 1.0
+            np.multiply(t, t, out=pw[2])
+            np.multiply(pw[2], t, out=pw[3])
+            np.clip(f, work.pad - work.half - 4, work.hi, out=f)
+            f[1] *= work.padded.shape[1]
+            f[1] += f[0]
+            np.copyto(work.base[:m], f[1], casting="unsafe")
+            lin = np.add(work.offsets, work.base[:m], out=work.lin[:16 * m].reshape(4, 4, m))
+            w = np.matmul(_SPLINE, pw.reshape(4, 2 * m),
+                          out=work.w[:16 * m].reshape(8, 2 * m)).reshape(8, 2, m)
+            yield c, lin, w[:4], w[4:]
 
     def position_gradient(self, coefficients: np.ndarray) -> np.ndarray:
         """Gradient of sum_ij coefficients_ij * M_ij w.r.t. positions, (N, 2)."""
@@ -226,18 +223,19 @@ class SplatCache:
         if coef.shape != self.geometry.shape:
             raise ValueError("coefficient grid shape does not match geometry")
         work = self.work
-        work.coef[work.crop] = coef
-        out = np.empty((2, len(self._base)))  # einsum is slow into strided out=
-        for c, lin, g, d in self._chunks():
-            # coefficient at each tap; mode="wrap" (indices are in range)
-            # lets take write into out= without buffering
-            patch = np.take(work.coef.ravel(), lin, mode="wrap",
+        # the blur is symmetric, so its adjoint blurs the zero-padded grid
+        work.padded.fill(0.0)
+        work.regions[0][...] = coef
+        _blur(work.regions[2], work.regions[1], work.scratch, work.taps)
+        out = np.empty((2, len(self.positions)))  # einsum is slow into strided out=
+        for c, lin, w, dw in self._chunks():
+            # blurred coefficient at each vote; mode="wrap" (indices are in
+            # range) lets take write into out= without buffering
+            patch = np.take(work.padded.ravel(), lin, mode="wrap",
                             out=work.block[:lin.size].reshape(lin.shape))
-            gd = np.multiply(g, d, out=d)
-            np.einsum("ac,abc,bc->c", g[1], patch, gd[0], out=out[0, c])
-            np.einsum("ac,abc,bc->c", gd[1], patch, g[0], out=out[1, c])
-        out *= 1.0 / (self.sigma * self.sigma)
-        return out.T.copy()
+            np.einsum("ac,abc,bc->c", w[:, 1], patch, dw[:, 0], out=out[0, c])
+            np.einsum("ac,abc,bc->c", dw[:, 1], patch, w[:, 0], out=out[1, c])
+        return out.T
 
 
 def _splat(positions: np.ndarray, geometry: SensorGeometry, sigma: float, work=None) -> SplatCache:
@@ -247,7 +245,8 @@ def _splat(positions: np.ndarray, geometry: SensorGeometry, sigma: float, work=N
 def smooth_map(
     positions: np.ndarray, geometry: SensorGeometry, sigma: float = SIGMA_DEFAULT
 ) -> ContrastMap:
-    """Accumulate truncated Gaussian kernels, one per event, at pixel centers."""
+    """Vote every event into the map and blur it: a Gaussian of width sigma
+    per event, to within 1.5% of its peak at sigma = 1 (see the module)."""
     cache = _splat(positions, geometry, sigma)
     return ContrastMap(cache.values, geometry)
 

@@ -1,10 +1,12 @@
-"""Smoke test of the benchmark's per-layer table, benchmarks/layers.py.
+"""Smoke test of the benchmark's per-layer table, benchmarks/layers.py, and
+of the traced names in benchmarks/spans.py.
 
 The table calls package internals (`joint._evaluate`, `joint._resolve_alpha`,
 `joint._denoise_baseline`, `contrast.SplatCache`, `contrast._HAVE_NUMBA`,
 ...). Running each of its steps, and then the whole table, once on the
 smallest size makes a change to those names or signatures fail here instead
-of in `benchmarks/run.py --layers`.
+of in `benchmarks/run.py --layers`. The traced run drops every name it cannot
+find, so the kernel's spans are checked here by name.
 """
 
 import importlib.util
@@ -14,11 +16,12 @@ from evjoint.events import SensorGeometry
 from evjoint.synth import MultiEdge, SceneSpec
 from evjoint.warp import MotionParams
 
-LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("benchmark_layers", LAYERS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,7 +38,7 @@ def _smallest(layers):
 
 
 def test_every_layer_step_runs_on_the_smallest_size(tmp_path):
-    layers = _load_layers()
+    layers = _load("layers")
     steps = layers.steps(_smallest(layers), tmp_path / "layers")
     assert steps
     for _, step in steps:
@@ -43,7 +46,7 @@ def test_every_layer_step_runs_on_the_smallest_size(tmp_path):
 
 
 def test_table_prints_on_the_smallest_size(tmp_path, monkeypatch, capsys):
-    layers = _load_layers()
+    layers = _load("layers")
     window = _smallest(layers)
     monkeypatch.setattr(layers, "sizes", lambda seed: [("200 ev, 16x16", window)])
     monkeypatch.setattr(layers, "TARGET_S", 0.0)
@@ -53,3 +56,10 @@ def test_table_prints_on_the_smallest_size(tmp_path, monkeypatch, capsys):
     assert out.startswith("backend numpy, ")
     assert "| splat | " in out and "| position_gradient | " in out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_traced_run_still_patches_the_kernel():
+    # spans.patch_points() skips names it cannot find, so a renamed kernel
+    # entry point would read 0 in contrast.splat_s and contrast.gradient_s
+    names = {name for _, _, name, _ in _load("spans").patch_points()}
+    assert {"contrast.splat", "contrast.position_gradient"} <= names

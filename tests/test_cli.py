@@ -290,7 +290,7 @@ class TestRender:
 
 
 class TestSigmaBound:
-    @pytest.mark.parametrize("sigma", ["inf", "1e300", "1000"])
+    @pytest.mark.parametrize("sigma", ["inf", "1e300", "1000", "0.5"])
     @pytest.mark.parametrize("command", ["denoise", "estimate-motion", "render"])
     def test_unusable_sigma_exits_two_before_allocating(self, synth_file, tmp_path, capsys,
                                                         command, sigma):

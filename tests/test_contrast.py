@@ -68,11 +68,42 @@ class TestHardMap:
 
 class TestSmoothMap:
     def test_pixel_center_values(self):
+        # an event on a pixel centre votes 1/6, 2/3, 1/6 per axis; the blur
+        # is exp(-3 k^2 / 4) (variance 2/3) over |k| <= 4, normalized
         g = SensorGeometry(9, 9)
         m = smooth_map(np.array([[4.5, 4.5]]), g, sigma=1.0)
-        assert m.values[4, 4] == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
-        assert m.values[4, 5] == pytest.approx(math.exp(-0.5) / (2 * math.pi), abs=1e-12)
-        assert m.values[5, 4] == pytest.approx(math.exp(-0.5) / (2 * math.pi), abs=1e-12)
+        blur = [math.exp(-0.75 * k * k) for k in range(5)]
+        norm = blur[0] + 2 * sum(blur[1:])
+        centre = (2 / 3 * blur[0] + 1 / 3 * blur[1]) / norm
+        beside = (2 / 3 * blur[1] + 1 / 6 * (blur[0] + blur[2])) / norm
+        assert m.values[4, 4] == pytest.approx(centre * centre, abs=1e-12)
+        assert m.values[4, 5] == pytest.approx(centre * beside, abs=1e-12)
+        assert m.values[5, 4] == pytest.approx(centre * beside, abs=1e-12)
+
+    @pytest.mark.parametrize("frac", [(0.0, 0.0), (0.25, 0.5), (0.5, 0.125), (0.875, 0.375)])
+    def test_interior_event_keeps_mass_and_centroid(self, frac):
+        g = SensorGeometry(32, 32)
+        x, y = 16.0 + frac[0], 15.0 + frac[1]
+        m = smooth_map(np.array([[x, y]]), g, sigma=1.0).values
+        centres = np.arange(32) + 0.5
+        assert abs(m.sum() - 1.0) <= 1e-12
+        assert abs((m.sum(axis=0) * centres).sum() - x) <= 1e-12
+        assert abs((m.sum(axis=1) * centres).sum() - y) <= 1e-12
+
+    def test_single_event_within_two_percent_of_the_exact_gaussian(self):
+        # at sigma = 1, over an 8 x 8 sub-pixel grid of positions, every pixel
+        # of a single event's map lies within 2% of the exact Gaussian's peak
+        g = SensorGeometry(32, 32)
+        centres = np.arange(32) + 0.5
+        worst = 0.0
+        for fx in np.arange(8) / 8:
+            for fy in np.arange(8) / 8:
+                x, y = 16.0 + fx, 15.0 + fy
+                m = smooth_map(np.array([[x, y]]), g, sigma=1.0).values
+                exact = np.outer(np.exp(-0.5 * (centres - y) ** 2),
+                                 np.exp(-0.5 * (centres - x) ** 2)) / (2 * math.pi)
+                worst = max(worst, np.max(np.abs(m - exact)))
+        assert worst <= 0.02 / (2 * math.pi)
 
     def test_empty(self):
         assert smooth_map(np.zeros((0, 2)), G16).values.sum() == 0
@@ -97,13 +128,14 @@ class TestSmoothMap:
             smooth_map(np.zeros((1, 2)), G16, sigma=0.0)
 
     def test_narrow_sigma_approaches_hard_map(self):
+        # the narrowest sigma admitted: the blur is all but the identity
         pos = np.array([[5.3, 7.6]])
-        m = smooth_map(pos, G16, sigma=0.05)
+        m = smooth_map(pos, G16, sigma=math.nextafter(math.sqrt(1 / 3), math.inf))
         hard = hard_map(pos, G16)
         assert np.unravel_index(m.values.argmax(), m.values.shape) == (7, 5)
         assert hard.values[7, 5] == 1
 
-    @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("sigma", [0.75, 1.0, 2.0])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_numpy_kernel_matches_per_event_oracle(self, sigma, data):
@@ -111,8 +143,10 @@ class TestSmoothMap:
         # inside the sensor, straddle its border or are wholly off it
         s = data.draw(st.floats(0.8 * sigma, 1.2 * sigma), label="sigma")
         g = SensorGeometry(16, 12)
-        half = math.ceil(contrast.TRUNCATE_SIGMAS * s)
-        reach = half + 1.0  # no tap of an event this far beyond an edge lands on the sensor
+        half = contrast.kernel_size(s)[0]
+        # no vote of an event this far beyond an edge reaches the sensor
+        # through the blur
+        reach = half + 3.0
 
         def near_edge(size):
             return st.sampled_from([0.0, float(size)]).flatmap(
@@ -135,15 +169,14 @@ class TestSmoothMap:
         # events per kernel chunk: a few, so most examples span several
         # chunks, or the kernel's own chunk size
         per_chunk = data.draw(st.one_of(st.integers(1, 4), st.none()), label="per_chunk")
-        chunk_taps = contrast._CHUNK_TAPS if per_chunk is None else per_chunk * (2 * half + 1) ** 2
+        chunk_taps = contrast._CHUNK_TAPS if per_chunk is None else per_chunk * 16
         _assert_numpy_kernel_matches_oracle(pos, g, s, chunk_taps)
 
     @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0])
     def test_numpy_kernel_matches_oracle_across_chunks(self, sigma):
         # at the kernel's own chunk size: two full chunks and a partial third
         g = SensorGeometry(16, 12)
-        half = math.ceil(contrast.TRUNCATE_SIGMAS * sigma)
-        step = contrast._CHUNK_TAPS // (2 * half + 1) ** 2
+        step = contrast._CHUNK_TAPS // 16
         rng = np.random.default_rng(7)
         n_border = 2 * step + step // 2 - 84
         pos = np.concatenate([
@@ -155,22 +188,52 @@ class TestSmoothMap:
         _assert_numpy_kernel_matches_oracle(pos, g, sigma, contrast._CHUNK_TAPS)
 
 
+def _spline(t):
+    """Cubic B-spline weights of the taps floor(u) - 1 ... floor(u) + 2 at
+    t = u - floor(u), and their derivatives in t."""
+    s = 1.0 - t
+    return ([s ** 3 / 6, 2 / 3 - t * t + t ** 3 / 2, 2 / 3 - s * s + s ** 3 / 2, t ** 3 / 6],
+            [-s * s / 2, 1.5 * t * t - 2 * t, 2 * s - 1.5 * s * s, t * t / 2])
+
+
 def _assert_numpy_kernel_matches_oracle(pos, g, s, chunk_taps):
     """The numpy kernel's map and position gradient against a per-event,
-    per-tap loop, to 1e-12, with the kernel's chunk size set to chunk_taps."""
-    half = math.ceil(contrast.TRUNCATE_SIGMAS * s)
+    per-tap loop of the cubic B-spline vote and then the blur, to 1e-12, with
+    the kernel's chunk size set to chunk_taps."""
+    half = contrast.kernel_size(s)[0]
+    blur = [math.exp(-k * k / (2 * (s * s - 1 / 3))) for k in range(-half, half + 1)]
+    norm = math.fsum(blur)
+    blur = [b / norm for b in blur]
     coef = np.random.default_rng(7).normal(size=g.shape)
-    values = np.zeros(g.shape)
+
+    def blurred(i, j):
+        """The sensor pixels pixel (i, j) blurs into, with their weights."""
+        for a in range(-half, half + 1):
+            for b in range(-half, half + 1):
+                if 0 <= i + a < g.height and 0 <= j + b < g.width:
+                    yield i + a, j + b, blur[a + half] * blur[b + half]
+
+    vote = {}
+    adjoint = {}
     grad = np.zeros((len(pos), 2))
     for k, (x, y) in enumerate(pos):
-        for i in range(math.floor(y) - half, math.floor(y) + half + 1):
-            for j in range(math.floor(x) - half, math.floor(x) + half + 1):
-                if 0 <= i < g.height and 0 <= j < g.width:
-                    dx, dy = j + 0.5 - x, i + 0.5 - y
-                    wk = math.exp(-(dx * dx + dy * dy) / (2 * s * s)) / (2 * math.pi * s * s)
-                    values[i, j] += wk
-                    grad[k, 0] += coef[i, j] * wk * dx / (s * s)
-                    grad[k, 1] += coef[i, j] * wk * dy / (s * s)
+        jx, iy = math.floor(x - 0.5), math.floor(y - 0.5)
+        wx, dwx = _spline(x - 0.5 - jx)
+        wy, dwy = _spline(y - 0.5 - iy)
+        for a in range(4):
+            for b in range(4):
+                i, j = iy - 1 + a, jx - 1 + b
+                if not (-half <= i < g.height + half and -half <= j < g.width + half):
+                    continue  # the blur carries nothing from here onto the sensor
+                vote[i, j] = vote.get((i, j), 0.0) + wy[a] * wx[b]
+                if (i, j) not in adjoint:
+                    adjoint[i, j] = sum(coef[p, q] * wk for p, q, wk in blurred(i, j))
+                grad[k, 0] += adjoint[i, j] * wy[a] * dwx[b]
+                grad[k, 1] += adjoint[i, j] * dwy[a] * wx[b]
+    values = np.zeros(g.shape)
+    for (i, j), mass in vote.items():
+        for p, q, wk in blurred(i, j):
+            values[p, q] += mass * wk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contrast, "_CHUNK_TAPS", chunk_taps)
         cache = contrast.SplatCache(pos, g, s)
@@ -258,7 +321,11 @@ class TestVarianceGradients:
 
     def test_workspace_bound(self):
         half, step = contrast.kernel_size(1.0, (96, 96))
-        assert (half, step) == (4, contrast._CHUNK_TAPS // 81)
+        assert (half, step) == (4, contrast._CHUNK_TAPS // 16)
+        # no blur makes up the cubic vote's own variance of 1/3 px^2
+        for sigma in (0.5, math.sqrt(1 / 3)):
+            with pytest.raises(ValueError, match="sigma"):
+                contrast.kernel_size(sigma)
         # a large sensor fits at sigma = 1; even the smallest sensor bounds
         # sigma at a few hundred
         contrast.kernel_size(1.0, (4096, 4096))

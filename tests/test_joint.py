@@ -476,12 +476,12 @@ class TestWorkspaceReuse:
         return EventWindow(Events(x, y, t, p), SensorGeometry(width, height), 0.0, 0.1, 0.05)
 
     def test_event_count_not_a_chunk_multiple(self, monkeypatch):
-        step = contrast._CHUNK_TAPS // 81  # events per chunk at sigma = 1
+        step = contrast._CHUNK_TAPS // 16  # events per chunk: 16 vote taps each
         window = self._window(2 * step + 37)
         self._descend_both(monkeypatch, window, 0.5, 0.0, np.zeros((20, 24)))
 
     def test_many_small_chunks(self, monkeypatch):
-        monkeypatch.setattr(contrast, "_CHUNK_TAPS", 3 * 81)  # three events per chunk
+        monkeypatch.setattr(contrast, "_CHUNK_TAPS", 3 * 16)  # three events per chunk
         self._descend_both(monkeypatch, self._window(100), 0.5, 0.0, np.zeros((20, 24)))
 
     def test_events_off_the_sensor(self, monkeypatch):
