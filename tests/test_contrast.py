@@ -200,7 +200,7 @@ def _assert_numpy_kernel_matches_oracle(pos, g, s, chunk_taps):
     """The numpy kernel's map and position gradient against a per-event,
     per-tap loop of the cubic B-spline vote and then the blur, to 1e-12, with
     the kernel's chunk size set to chunk_taps."""
-    half = contrast.kernel_size(s)[0]
+    half = math.ceil(4 * math.sqrt(s * s - 1 / 3))  # the blur is cut at 4 of its sigmas
     blur = [math.exp(-k * k / (2 * (s * s - 1 / 3))) for k in range(-half, half + 1)]
     norm = math.fsum(blur)
     blur = [b / norm for b in blur]
