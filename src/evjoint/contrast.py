@@ -247,7 +247,7 @@ def smooth_map(
     positions: np.ndarray, geometry: SensorGeometry, sigma: float = SIGMA_DEFAULT
 ) -> ContrastMap:
     """Vote every event into the map and blur it: a Gaussian of width sigma
-    per event, to within 1.5% of its peak at sigma = 1 (see the module)."""
+    per event, to within 1.9% of its peak at sigma = 1 (see the module)."""
     cache = _splat(positions, geometry, sigma)
     return ContrastMap(cache.values, geometry)
 
