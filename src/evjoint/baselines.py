@@ -9,7 +9,8 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _time_scale
+from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _time_scale,
+                    interpolate_confidence)
 from .warp import MotionParams, warp
 
 # baf_filter's work, (2r + 1)^2 neighbour offsets times (n events plus a fixed
@@ -98,11 +99,13 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParam
 
 
 def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:
-    """A density filter's labels `keep` with motion theta; the confidence map
-    is the binary mask of pixels holding at least one kept event warped by
-    theta, the frame `solve`'s map is in and where callers sample it."""
-    kept_mask = hard_map(warp(window, theta)[keep], window.geometry).values > 0
-    return JointResult(theta, ConfidenceMap.from_weights_mask(kept_mask), keep)
+    """A density filter's labels `keep` with motion theta. The confidence map
+    is the binary mask of pixels holding a kept event warped by theta, the
+    frame `solve`'s map is in; each event's confidence samples it there."""
+    warped = warp(window, theta)
+    mask = hard_map(warped[keep], window.geometry).values > 0
+    return JointResult(theta, ConfidenceMap.from_weights_mask(mask), keep,
+                       interpolate_confidence(mask, warped))
 
 
 def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig,

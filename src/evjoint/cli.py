@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import BafConfig, baf_filter, cmax_solve, kept_result, sequential_pipeline
-from .contrast import ConfidenceMap, hard_map, smooth_map
+from .contrast import hard_map, smooth_map
 from .events import (
     Events,
     EventWindow,
@@ -35,7 +35,6 @@ from .joint import (
     JointResult,
     NonFiniteObjective,
     WarmStartScaled,
-    interpolate_confidence,
     solve,
 )
 from .metrics import confusion, esr, motion_rmse
@@ -160,7 +159,7 @@ def _solve_windows(args: argparse.Namespace, method):
     def solved():
         for i, w in enumerate(windows):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("ignore", UserWarning)  # degenerate windows
                 res = method(w)
             if args.log == "json":
                 for k, p in enumerate(res.trace):
@@ -230,7 +229,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     labels_out, records, confidences = [], [], []
     for w, res in solved:
         labels_out.append(res.labels)
-        confidences.append(interpolate_confidence(res.conf.weights, warp(w, res.theta)))
+        confidences.append(res.confidence)
         records.append(_window_record(w, res))
     labels = np.concatenate(labels_out) if labels_out else np.zeros(0, dtype=bool)
     write_events(events, args.output, labels=labels, geometry=geometry)
@@ -246,9 +245,8 @@ def cmd_estimate_motion(args: argparse.Namespace) -> int:
     cfg = _joint_config(args)
     method = {
         "joint": lambda w: solve(w, cfg, model=args.model),
-        "cmax": lambda w: JointResult(cmax_solve(w, args.model, cfg),
-                                      ConfidenceMap.zeros(w.geometry),
-                                      np.zeros(len(w), dtype=bool)),
+        "cmax": lambda w: kept_result(w, np.zeros(len(w), dtype=bool),
+                                      cmax_solve(w, args.model, cfg)),
     }[args.method]
     _, _, solved = _solve_windows(args, method)
     records = [{"t_ref": w.t_ref, "theta": res.theta.values.tolist()} for w, res in solved]

@@ -145,14 +145,16 @@ class SplatWork:
         self.values = np.empty((h, w))
         # the padded map within 0, half and 2 half of the sensor; the blur as
         # (window view, out) passes, rows then columns via scratch, for the
-        # splat and its adjoint. The views are built once: built per call,
-        # they grew peak RSS by about 1.5 MB over a small-windows benchmark run.
+        # splat and its adjoint. The views, sliding_window_view's of k taps
+        # without its 20 us of checks, are built once: built per call, they
+        # grew peak RSS by about 1.5 MB over a small-windows benchmark run.
         self.regions = [self.padded[p - r:p + h + r, p - r:p + w + r] for r in (0, half, 2 * half)]
-        view, self.blurs = np.lib.stride_tricks.sliding_window_view, []
+        view, k, self.blurs = np.lib.stride_tricks.as_strided, 2 * half + 1, []
         for source, out in ((self.regions[1], self.values), (self.regions[2], self.regions[1])):
             rows = self.scratch[:out.shape[0], :source.shape[1]]
-            self.blurs.append(((view(source, 2 * half + 1, axis=0), rows),
-                               (view(rows, 2 * half + 1, axis=1), out)))
+            s, r = source.strides, rows.strides
+            self.blurs.append(((view(source, rows.shape + (k,), s + s[:1]), rows),
+                               (view(rows, out.shape + (k,), r + r[1:]), out)))
         # flat padded index of each vote from the event's first one, and the
         # first vote's upper clip per axis (x, y), in padded pixels
         self.offsets = (np.arange(4)[:, None] * (w + 2 * p) + np.arange(4))[:, :, None]

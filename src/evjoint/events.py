@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import dropwhile, filterfalse
 from pathlib import Path
 from typing import NamedTuple
@@ -71,17 +71,11 @@ class Events:
             self._validate()
 
     def _validate(self) -> None:
-        n = self.x.shape[0]
-        if not (self.y.shape[0] == self.t.shape[0] == self.p.shape[0] == n):
+        if not (self.y.shape[0] == self.t.shape[0] == self.p.shape[0] == self.x.shape[0]):
             raise ValueError("event columns have mismatched lengths")
-        if n == 0:
-            return
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("event coordinates must be finite")
-        if not np.all(np.isfinite(self.t)) or np.any(self.t < 0.0):
-            raise ValueError("timestamps must be finite and non-negative")
-        if not np.all((self.p == 1) | (self.p == -1)):
-            raise ValueError("polarity must be -1 or +1")
+        fault = _value_fault(self.x, self.y, self.t, self.p)
+        if fault:
+            raise ValueError(fault[1])
 
     @classmethod
     def empty(cls) -> "Events":
@@ -140,10 +134,6 @@ class EventWindow:
     t_start: float
     t_end: float
     t_ref: float
-    # Values derived from the events alone, memoized by the code that computes
-    # them (the denoising baseline, for one). Windows are immutable, so an
-    # entry never goes stale.
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.t_start <= self.t_ref <= self.t_end):
@@ -197,19 +187,22 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _value_fault(rows: np.ndarray) -> tuple[int, str] | None:
-    """(index, reason) of the first parsed CSV row whose values break a rule."""
-    x, y, t, p = rows[:, :4].T
-    lab = rows[:, 4] if rows.shape[1] == 5 else np.zeros(len(rows))
+def _value_fault(x, y, t, p, label=None) -> tuple[int, str] | None:
+    """(index, reason) of the first event whose values break a rule, the one
+    table for `Events` and the CSV reader; the first rule broken names it."""
+    label = np.zeros_like(t) if label is None else label
     rules = [
         ((p != 1) & (p != -1), lambda i: f"polarity must be -1 or 1, got {p[i]:g}"),
-        (~(np.isfinite(t) & (t >= 0.0)), lambda i: f"bad timestamp {float(t[i])!r}"),
+        (~(np.isfinite(t) & (t >= 0.0)),
+         lambda i: f"timestamps must be finite and non-negative, got {float(t[i])!r}"),
         (~(np.isfinite(x) & np.isfinite(y)), lambda i: "non-finite coordinates"),
-        ((lab != 0) & (lab != 1), lambda i: f"label must be 0 or 1, got {lab[i]:g}"),
+        ((label != 0) & (label != 1), lambda i: f"label must be 0 or 1, got {label[i]:g}"),
     ]
     bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():  # argmax fails on an empty array
+        return None
     i = int(np.argmax(bad))
-    return (i, next(reason(i) for mask, reason in rules if mask[i])) if bad.any() else None
+    return i, next(reason(i) for mask, reason in rules if mask[i])
 
 
 def _csv_fault(path, fault: str = "malformed row") -> FormatError:
@@ -232,7 +225,7 @@ def _csv_fault(path, fault: str = "malformed row") -> FormatError:
                 break
             rows.append(vals)
             linenos.append(lineno)
-    bad = _value_fault(np.array(rows)) if rows else None
+    bad = _value_fault(*np.array(rows).T) if rows else None
     return FormatError(f"{path}: line {linenos[bad[0]]}: {bad[1]}" if bad else f"{path}: {fault}")
 
 
@@ -247,7 +240,7 @@ def _parse_csv(path) -> LoadedStream:
             raise _csv_fault(path, f"unparseable field ({exc})") from None
     if rows.shape[0] == 0:
         return LoadedStream(Events.empty(), None, None)
-    if rows.shape[1] not in (4, 5) or _value_fault(rows):
+    if rows.shape[1] not in (4, 5) or _value_fault(*rows.T):
         raise _csv_fault(path)
     events = Events(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], validate=False)
     labels = rows[:, 4].astype(bool) if rows.shape[1] == 5 else None
@@ -322,14 +315,11 @@ def write_events(
     if Path(path).suffix.lower() in (".csv", ".txt"):
         with open(path, "w", encoding="utf-8") as f:
             f.write("x,y,t,p,label\n" if labels is not None else "x,y,t,p\n")
-            for i in range(len(events)):
-                row = (
-                    f"{float(events.x[i])!r},{float(events.y[i])!r},"
-                    f"{float(events.t[i])!r},{int(events.p[i])}"
-                )
-                if labels is not None:
-                    row += f",{int(labels[i])}"
-                f.write(row + "\n")
+            columns = [map(repr, events.x.tolist()), map(repr, events.y.tolist()),
+                       map(repr, events.t.tolist()), map(str, events.p.tolist())]
+            if labels is not None:
+                columns.append(map(str, labels.astype(np.int8).tolist()))
+            f.writelines(",".join(row) + "\n" for row in zip(*columns))
     else:
         if geometry is None:
             raise ValueError("binary format requires sensor geometry")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .contrast import SIGMA_DEFAULT, ConfidenceMap, SplatWork, _splat, kernel_size, sigmoid
 from .events import EventWindow
-from .warp import (TRANSLATION_2D, MotionParams, _rotation_center, model_dim, warp,
-                   warp_positions, warp_pullback)
+from .warp import (TRANSLATION_2D, MotionParams, _rotation_center, model_dim, warp_positions,
+                   warp_pullback)
 
 # Below this event count the variance objectives are meaningless;
 # such windows are returned unoptimized with every event marked noise.
@@ -107,12 +107,15 @@ class ObjectiveParts:
 
 @dataclass(frozen=True)
 class JointResult:
-    """Motion, confidence map and labels; the solver's record defaults to an
-    empty trace and NaN baselines for results no objective produced."""
+    """Motion, confidence map, each event's confidence (the map's weights
+    sampled bilinearly at the event warped by theta) and labels; the solver's
+    record defaults to an empty trace and NaN baselines for results no
+    objective produced."""
 
     theta: MotionParams
     conf: ConfidenceMap
     labels: np.ndarray
+    confidence: np.ndarray
     trace: list[ObjectiveParts] = field(default_factory=list)
     final: ObjectiveParts | None = None
     b_ea: float = math.nan
@@ -122,16 +125,20 @@ class JointResult:
 
 @dataclass(frozen=True)
 class AdamState:
-    """Moments, step count and two parameter-shaped scratch arrays."""
+    """Moments, step count and two parameter-shaped scratch arrays (allocated if None)."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.scratch is None:
+            object.__setattr__(self, "scratch", np.empty((2,) + self.m.shape))
+
     @classmethod
     def zeros_like(cls, params: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(params), np.zeros_like(params), 0, np.empty((2,) + params.shape))
+        return cls(np.zeros_like(params), np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads, state: AdamState, lr: float):
@@ -175,18 +182,11 @@ def interpolate_confidence(weights: np.ndarray, positions: np.ndarray) -> np.nda
     return (1.0 - fy) * top + fy * bot
 
 
-def _denoise_baseline(window: EventWindow, sigma: float) -> float:
-    """b_ed: variance of the unwarped, unweighted smooth map.
-
-    It depends on the window and sigma only, never on theta or the logits,
-    so it is splatted once per window and sigma and kept in the window's
-    memo: gradient checks call objective() hundreds of times on one window.
-    """
-    key = ("b_ed", sigma)
-    if key not in window.derived:
-        raw = _splat(window.positions, window.geometry, sigma).values
-        window.derived[key] = float(np.var(raw))
-    return window.derived[key]
+def _denoise_baseline(window: EventWindow, sigma: float, work: SplatWork | None = None) -> float:
+    """b_ed: variance of the unwarped, unweighted smooth map, splatted into
+    work (a fresh SplatWork when None). It never depends on theta or the
+    logits, so `solve` computes it once per window."""
+    return float(np.var(_splat(window.positions, window.geometry, sigma, work).values))
 
 
 def _resolve_alpha(cfg: JointConfig) -> float:
@@ -200,9 +200,9 @@ class _Workspace:
     """What every evaluation on one window writes into or reuses: a SplatWork
     (within contrast.WORKSPACE_LIMIT_BYTES), seven H x W maps and the
     theta-free warp inputs (positions, time offsets, rotation center), 24
-    bytes per event. `solve` builds one per window (`_descend` one per call
-    when given none); it is dropped with that call and never kept in
-    `window.derived`."""
+    bytes per event. `solve` builds one per non-degenerate window and splats
+    b_ed into it too (`_descend` builds one per call when given none); it is
+    dropped with that call."""
 
     def __init__(self, window: EventWindow, sigma: float):
         self.splat = SplatWork(window.geometry, sigma, len(window))
@@ -278,8 +278,9 @@ def _evaluate_explicit(window: EventWindow, theta: MotionParams, conf: Confidenc
     if not isinstance(cfg.b_ea, ExplicitBaseline):
         raise ValueError("objective evaluation needs an explicit alignment baseline; "
                          "solve() resolves warm-started baselines before optimizing")
+    ws = _Workspace(window, cfg.sigma)
     return _evaluate(window, theta, conf.logits, cfg, _resolve_alpha(cfg), float(cfg.b_ea.value),
-                     _denoise_baseline(window, cfg.sigma), want_grads)
+                     _denoise_baseline(window, cfg.sigma, ws.splat), want_grads, ws)
 
 
 def objective(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
@@ -340,11 +341,12 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
     Runs full-batch Adam from theta = 0 and logits = 0 (weights 0.5). With a
     warm-started alignment baseline, an alignment-only phase of half the
     iteration budget runs first; the joint phase then restarts from the
-    warm-started motion. Events are finally classified as signal when the
-    bilinear sample of the confidence weights at their warped position
-    reaches tau. Deterministic: the solver is full-batch.
+    warm-started motion. Each event's confidence is the bilinear sample of
+    the confidence weights at its warped position; it is signal when that
+    reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets
+    zero motion, an all-noise map, confidence 0 and NaN b_ed, and allocates
+    no maps. Deterministic: the solver is full-batch.
     """
-    b_ed = _denoise_baseline(window, cfg.sigma)
     alpha = _resolve_alpha(cfg)
     if len(window) < DEGENERATE_MIN_EVENTS:
         warnings.warn(
@@ -352,11 +354,13 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
             "returning zero motion and all-noise labels",
             stacklevel=2,
         )
-        return JointResult(MotionParams.zero(model), ConfidenceMap.zeros(window.geometry),
-                           np.zeros(len(window), dtype=bool), b_ed=b_ed, alpha=alpha)
+        blank = ConfidenceMap.from_weights_mask(np.zeros(window.geometry.shape, dtype=bool))
+        return JointResult(MotionParams.zero(model), blank, np.zeros(len(window), dtype=bool),
+                           np.zeros(len(window)), alpha=alpha)
 
     tspan = _time_scale(window)
     ws = _Workspace(window, cfg.sigma)
+    b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
     phi = None
     if isinstance(cfg.b_ea, WarmStartScaled):
         phi, _, _ = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
@@ -371,14 +375,7 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
     theta = MotionParams(model, phi / tspan)
     final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False,
                             ws=ws)
-    labels = interpolate_confidence(ws.wts, warp(window, theta)) >= cfg.tau
-    return JointResult(
-        theta=theta,
-        conf=ConfidenceMap(logits),
-        labels=labels,
-        trace=trace,
-        final=final,
-        b_ea=b_ea,
-        b_ed=b_ed,
-        alpha=alpha,
-    )
+    confidence = interpolate_confidence(ws.wts, warp_positions(ws.positions, ws.dt, theta,
+                                                               ws.center))
+    return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
+                       trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha)

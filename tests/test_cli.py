@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from evjoint import cli
 from evjoint.baselines import cmax_solve
 from evjoint.cli import main
 from evjoint.events import FixedDuration, SensorGeometry, read_events, window_stream, write_events
-from evjoint.joint import JointConfig
+from evjoint.joint import JointConfig, solve
 
 
 def run(*argv):
@@ -141,6 +142,28 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("evjoint: error: non-finite objective at iteration 0")
         assert len(err.strip().splitlines()) == 1
+
+    def test_solver_runtime_warning_surfaces(self, synth_file, tmp_path, monkeypatch):
+        # the CLI silences only the degenerate-window UserWarning
+        def warning_solve(*args, **kwargs):
+            warnings.warn("overflow inside the solve", RuntimeWarning)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", warning_solve)
+        with pytest.warns(RuntimeWarning, match="overflow inside the solve"):
+            run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "o.evj"), "--iters", "2")
+
+    def test_degenerate_windows_report_zero_confidence(self, synth_file, tmp_path):
+        out = tmp_path / "out.evj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the degenerate-window warning stays silent
+            assert run("denoise", "-i", str(synth_file), "-o", str(out),
+                       "--window-count", "7") == 0
+        side = json.loads((tmp_path / "out.evj.json").read_text())
+        assert side["counts"]["signal_pred"] == 0
+        confidence = [c for window in side["confidence"] for c in window]
+        assert len(confidence) == side["counts"]["events"]
+        assert set(confidence) == {0.0}
 
     def test_estimate_motion_csv(self, synth_file, tmp_path):
         out = tmp_path / "traj.csv"

@@ -87,6 +87,27 @@ class TestTypes:
             EventWindow(Events.empty(), SensorGeometry(4, 4), 0.0, 1.0, 2.0)
 
 
+class TestValueRules:
+    """Events and the CSV reader check values against one rule table, with
+    one wording; an empty stream breaks none."""
+
+    @pytest.mark.parametrize("x,t,p,reason", [
+        (1.0, 0.1, 3, "polarity must be -1 or 1, got 3"),
+        (1.0, -0.5, 1, "timestamps must be finite and non-negative, got -0.5"),
+        (np.inf, 0.1, 1, "non-finite coordinates"),
+    ])
+    def test_events_and_csv_share_the_wording(self, tmp_path, x, t, p, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            Events([x], [1.0], [t], [p])
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{x!r},1.0,{t!r},{p}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 1: {reason}")):
+            read_events(path)
+
+    def test_empty_stream_validates(self):
+        assert len(Events([], [], [], [])) == 0
+
+
 class TestCsv:
     def test_single_line_mapping(self, tmp_path):
         p = tmp_path / "one.csv"
@@ -131,8 +152,8 @@ class TestCsv:
         ("1,1,0.1,1\n1,abc,0.2,1\n",
          "line 2: unparseable field (could not convert string to float: 'abc')"),
         ("1,1,0.1,1\ninf,1,0.2,1\n", "line 2: non-finite coordinates"),
-        ("1,1,-0.5,1\n", "line 1: bad timestamp -0.5"),
-        ("1,1,nan,1\n", "line 1: bad timestamp nan"),
+        ("1,1,-0.5,1\n", "line 1: timestamps must be finite and non-negative, got -0.5"),
+        ("1,1,nan,1\n", "line 1: timestamps must be finite and non-negative, got nan"),
         ("1,1,0.1,1,2\n", "line 1: label must be 0 or 1, got 2"),
         ("1,1,0.1\n", "line 1: expected 4 or 5 fields, got 3"),
         ("x,y,t,p\n\n1,1,0.1,1,0,7\n", "line 3: expected 4 or 5 fields, got 6"),
@@ -163,6 +184,19 @@ class TestCsv:
         loaded = read_events(p)
         assert len(loaded.events) == 0
         assert loaded.labels is None
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_writer_bytes_match_per_event_formatting(self, tmp_path, labeled):
+        # shortest-roundtrip repr for the coordinates and times, ints for the rest
+        ev, labels = _random_events(np.random.default_rng(4), 300, labels=True)
+        ev.x[:3] = [0.0, 1e-300, 63.0]
+        labels = labels if labeled else None
+        rows = [f"{float(ev.x[i])!r},{float(ev.y[i])!r},{float(ev.t[i])!r},{int(ev.p[i])}"
+                + (f",{int(labels[i])}" if labeled else "") + "\n" for i in range(len(ev))]
+        header = "x,y,t,p,label\n" if labeled else "x,y,t,p\n"
+        p = tmp_path / "w.csv"
+        write_events(ev, p, labels=labels)
+        assert p.read_bytes() == (header + "".join(rows)).encode("utf-8")
 
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -74,6 +74,13 @@ class TestAdam:
             p2, s2 = adam_step(p2, 100.0 * g, s2, lr=0.1)
         assert np.allclose(p1, p2, atol=1e-6)
 
+    def test_state_built_from_moments_steps_like_zeros_like(self):
+        # AdamState(m, v) allocates its own scratch arrays
+        params, g = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.2, 0.0])
+        got, state = adam_step(params.copy(), g, AdamState(np.zeros(3), np.zeros(3)), lr=0.1)
+        want, _ = adam_step(params.copy(), g, AdamState.zeros_like(params), lr=0.1)
+        assert got.tobytes() == want.tobytes() and state.step == 1
+
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(ValueError):
             adam_step(np.zeros(1), np.array([np.nan]), AdamState.zeros_like(np.zeros(1)), 0.1)
@@ -140,26 +147,6 @@ class TestObjective:
         conf = ConfidenceMap(np.full(G16.shape, 30.0))
         parts = objective(self.window, MotionParams.translation(0.0, 0.0), conf, cfg)
         assert abs(parts.r_ed) < 1e-10
-
-    def test_denoise_baseline_splatted_once_per_window(self, monkeypatch):
-        import evjoint.joint as joint
-
-        calls = []
-        real = joint._splat
-        monkeypatch.setattr(joint, "_splat", lambda *a: calls.append(1) or real(*a))
-        cfg = JointConfig(alpha=1e-3, beta=1e-2, b_ea=ExplicitBaseline(0.5), sigma=1.3)
-        conf = ConfidenceMap(self.rng.normal(size=G16.shape))
-        theta = MotionParams.translation(2.0, -3.0)
-        first = objective(self.window, theta, conf, cfg)
-        assert len(calls) == 2  # b_ed once, then the warped map
-        objective_gradients(self.window, theta, conf, cfg)
-        again = objective(self.window, theta, conf, cfg)
-        assert len(calls) == 4
-        assert again == first
-        # an equal but distinct window gets its own baseline
-        twin = random_window(np.random.default_rng(42))
-        assert objective(twin, theta, conf, cfg).r_ed == first.r_ed
-        assert len(calls) == 6
 
     def test_half_weights_quarter_f_ea(self):
         cfg = JointConfig(alpha=0.0, beta=0.0, b_ea=ExplicitBaseline(1.0))
@@ -338,6 +325,47 @@ class TestSolve:
             res = solve(w, JointConfig())
         assert np.array_equal(res.theta.values, [0.0, 0.0])
         assert not res.labels.any()
+
+    def test_degenerate_window_is_all_noise_with_zero_confidence(self):
+        # below tau everywhere, as its all-noise labels are
+        ev = Events([1.0, 2.0, 9.5], [1.0, 2.0, 4.0], [0.1, 0.2, 0.3], [1, -1, 1])
+        with pytest.warns(UserWarning, match="too small"):
+            res = solve(EventWindow(ev, G16, 0.0, 1.0, 0.5), JointConfig())
+        assert np.all(res.conf.weights == 0.0)
+        assert res.confidence.tolist() == [0.0, 0.0, 0.0]
+        assert math.isnan(res.b_ed) and res.final is None
+
+    def test_one_splat_workspace_per_window(self, monkeypatch):
+        # b_ed is splatted into the workspace the descent evaluates in
+        built = []
+        real = contrast.SplatWork.__init__
+        monkeypatch.setattr(contrast.SplatWork, "__init__",
+                            lambda self, *a: built.append(a) or real(self, *a))
+        window = random_window(np.random.default_rng(8))
+        res = solve(window, JointConfig(iterations=6))
+        assert len(built) == 1
+        assert res.b_ed == float(np.var(smooth_map(window.positions, G16).values))
+
+    @pytest.mark.parametrize("method", ["translation2d", "rotation_inplane", "baf", "cmax-seq"])
+    def test_confidence_is_the_map_sampled_at_warped_events(self, method):
+        from evjoint.baselines import BafConfig, baf_filter, kept_result, sequential_pipeline
+
+        spec = SceneSpec(SensorGeometry(32, 32), Dot((12.0, 16.0), 4.0),
+                         MotionParams.translation(30.0, 10.0), 0.2, noise_rate=0.1)
+        window, _, _ = generate(spec, seed=3)
+        cfg = JointConfig(iterations=30)
+        if method == "baf":
+            res = kept_result(window, baf_filter(window, BafConfig()),
+                              MotionParams.translation(-30.0, -10.0))
+        elif method == "cmax-seq":
+            res = sequential_pipeline(window, BafConfig(), cfg)
+        else:
+            res = solve(window, cfg, model=method)
+        assert np.linalg.norm(res.theta.values) > 0
+        want = interpolate_confidence(res.conf.weights, warp(window, res.theta))
+        assert res.confidence.tobytes() == want.tobytes()
+        if method not in ("baf", "cmax-seq"):  # their labels come from the density filter
+            assert np.array_equal(res.labels, res.confidence >= cfg.tau)
 
     def test_trace_length_and_descent(self):
         spec = SceneSpec(SensorGeometry(32, 32), Dot((12.0, 16.0), 4.0),
