@@ -9,7 +9,7 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _time_scale,
+from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend,
                     interpolate_confidence)
 from .warp import MotionParams, warp
 
@@ -94,8 +94,7 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParam
     """Estimate motion by Adam ascent on the alignment variance alone."""
     if len(window) < DEGENERATE_MIN_EVENTS:
         return MotionParams.zero(model)
-    phi, _, _ = _descend(window, model, cfg, cfg.iterations, 0.0)
-    return MotionParams(model, phi / _time_scale(window))
+    return _descend(window, model, cfg, cfg.iterations, 0.0)[0]
 
 
 def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:

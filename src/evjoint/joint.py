@@ -35,8 +35,9 @@ ALPHA_PEAK_MULTIPLES = 2.5
 
 KAPPA_DEFAULT = 1.1
 
-# Adam's moment decay rates and denominator floor
+# Adam's moment decay rates, denominator floor and step sizes (phi in pixels, logits)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_THETA, LR_LOGITS = 0.05, 0.1
 
 
 class NonFiniteObjective(RuntimeError):
@@ -70,8 +71,6 @@ class JointConfig:
     beta: float = 1e-4
     b_ea: BaselineSpec = field(default_factory=WarmStartScaled)
     iterations: int = 300
-    learning_rate_theta: float = 0.05
-    learning_rate_logits: float = 0.1
     sigma: float = SIGMA_DEFAULT
     tau: float = 0.5
 
@@ -84,8 +83,6 @@ class JointConfig:
             raise ValueError("b_ea must be ExplicitBaseline or WarmStartScaled")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if not (self.learning_rate_theta > 0 and self.learning_rate_logits > 0):
-            raise ValueError("learning rates must be positive")
         kernel_size(self.sigma)
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
@@ -296,26 +293,23 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
     return dtheta, dlogits
 
 
-def _time_scale(window: EventWindow) -> float:
-    span = window.t_end - window.t_start
-    return span if span > 0 else 1.0
-
-
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
              logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
-             phi: np.ndarray | None = None, ws: _Workspace | None = None):
-    """Full-batch Adam descent on the objective from phi (zero motion if None).
+             theta: MotionParams | None = None, ws: _Workspace | None = None):
+    """Full-batch Adam descent on the objective from theta (zero motion if None).
 
-    Works in window-displacement units (pixels across the window span), so
-    the step size is independent of the window duration and of the raw
-    magnitude of the motion parameters. With logits=None only the alignment
-    regret b_ea - f_ea is descended, which ascends f_ea; otherwise the
-    logits are stepped after phi. Every step evaluates in ws (one workspace
-    built here when None) and updates copies of phi and logits in place.
-    Returns (phi, logits, trace of parts).
+    Steps phi = theta * span (pixels across the window; span 1 s if zero) at
+    LR_THETA, whatever the window duration or the motion's magnitude. With
+    logits=None only the alignment regret b_ea - f_ea is descended (f_ea
+    ascends); otherwise the logits step at LR_LOGITS after phi. Each evaluation
+    runs in ws (built here when None), each step updates copies of phi and
+    logits in place, and the end point is evaluated once more without
+    gradients, leaving its weights in ws.wts. Returns (theta, logits, trace of
+    the stepped points' parts, end point's parts); NonFiniteObjective if any
+    evaluation's total is not finite.
     """
-    tspan = _time_scale(window)
-    phi = np.zeros(model_dim(model)) if phi is None else np.array(phi, dtype=np.float64)
+    span = (window.t_end - window.t_start) or 1.0  # EventWindow keeps t_end >= t_start
+    phi = np.zeros(model_dim(model)) if theta is None else theta.values * span
     if logits is not None:
         logits = np.array(logits, dtype=np.float64)
     if ws is None:
@@ -323,29 +317,33 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     state_phi = AdamState.zeros_like(phi)
     state_log = None if logits is None else AdamState.zeros_like(logits)
     trace: list[ObjectiveParts] = []
-    for it in range(iterations):
-        parts, dtheta, dlogits = _evaluate(window, MotionParams(model, phi / tspan), logits, cfg,
-                                           alpha, b_ea, b_ed, want_grads=True, ws=ws)
+    for it in range(iterations + 1):
+        theta = MotionParams(model, phi / span)
+        parts, dtheta, dlogits = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed,
+                                           want_grads=it < iterations, ws=ws)
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
+        if it == iterations:
+            return theta, logits, trace, parts
         trace.append(parts)
-        phi, state_phi = adam_step(phi, dtheta / tspan, state_phi, cfg.learning_rate_theta)
+        phi, state_phi = adam_step(phi, dtheta / span, state_phi, LR_THETA)
         if logits is not None:
-            logits, state_log = adam_step(logits, dlogits, state_log, cfg.learning_rate_logits)
-    return phi, logits, trace
+            logits, state_log = adam_step(logits, dlogits, state_log, LR_LOGITS)
 
 
 def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
 
-    Runs full-batch Adam from theta = 0 and logits = 0 (weights 0.5). With a
-    warm-started alignment baseline, an alignment-only phase of half the
-    iteration budget runs first; the joint phase then restarts from the
-    warm-started motion. Each event's confidence is the bilinear sample of
-    the confidence weights at its warped position; it is signal when that
-    reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets
-    zero motion, an all-noise map, confidence 0 and NaN b_ed, and allocates
-    no maps. Deterministic: the solver is full-batch.
+    Runs `_descend` from theta = 0 and logits = 0 (weights 0.5), both phases
+    in one workspace. With a warm-started alignment baseline, an
+    alignment-only phase of half the iteration budget runs first and b_ea is
+    kappa times f_ea at its end point; the joint phase then restarts from the
+    warm-started motion. Each event's confidence is the bilinear sample of the
+    final weights, which the joint phase's end evaluation leaves in the
+    workspace, at its warped position; it is signal when that reaches tau. A
+    window of fewer than DEGENERATE_MIN_EVENTS events gets zero motion, an
+    all-noise map, confidence 0 and NaN b_ed, and allocates no maps.
+    Deterministic: the solver is full-batch.
     """
     alpha = _resolve_alpha(cfg)
     if len(window) < DEGENERATE_MIN_EVENTS:
@@ -358,23 +356,17 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
         return JointResult(MotionParams.zero(model), blank, np.zeros(len(window), dtype=bool),
                            np.zeros(len(window)), alpha=alpha)
 
-    tspan = _time_scale(window)
     ws = _Workspace(window, cfg.sigma)
     b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
-    phi = None
+    theta = None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        phi, _, _ = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
-        end, _, _ = _evaluate(window, MotionParams(model, phi / tspan), None, cfg,
-                              math.nan, 0.0, math.nan, want_grads=False, ws=ws)
+        theta, _, _, end = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
-    phi, logits, trace = _descend(window, model, cfg, cfg.iterations, b_ea,
-                                  np.zeros(window.geometry.shape), alpha, b_ed, phi, ws)
-
-    theta = MotionParams(model, phi / tspan)
-    final, _, _ = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed, want_grads=False,
-                            ws=ws)
+    theta, logits, trace, final = _descend(
+        window, model, cfg, cfg.iterations, b_ea, np.zeros(window.geometry.shape), alpha, b_ed,
+        theta, ws)
     confidence = interpolate_confidence(ws.wts, warp_positions(ws.positions, ws.dt, theta,
                                                                ws.center))
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,

@@ -7,9 +7,10 @@ step clears the contrast threshold. That yields events lying exactly on the
 moving edge, full ground truth per event, and a known collapsing motion.
 Noise events are uniform over the sensor and the time span.
 
-A scene may cross at most MAX_AXIS_CROSSINGS = 10**7 pixel lines per axis
-over all emitters, inside the sensor or not (about 40 B of working memory
-each); a larger one raises ValueError before any crossing is allocated.
+A scene may have at most MAX_AXIS_CROSSINGS = 10**7 emitters and cross at
+most that many pixel lines per axis over all emitters, inside the sensor or
+not (about 40 B of working memory each); a larger one raises ValueError
+before any emitter or crossing is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ class VerticalEdge:
 
     x0: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.x0):
+            raise ValueError(f"edge column must be finite, got {self.x0}")
+
 
 @dataclass(frozen=True)
 class Dot:
@@ -43,8 +48,14 @@ class Dot:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0):
-            raise ValueError("dot radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise ValueError(f"dot radius must be positive and finite, got {self.radius}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"dot center must be finite, got {self.center}")
+
+    @property
+    def count(self) -> float:  # boundary emitters, one per pixel of circumference (inf if huge)
+        return max(8.0, np.round(2.0 * math.pi * self.radius))
 
 
 @dataclass(frozen=True)
@@ -58,8 +69,8 @@ class MultiEdge:
     spacing: float
 
     def __post_init__(self) -> None:
-        if not (self.spacing > 0):
-            raise ValueError("edge spacing must be positive")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError(f"edge spacing must be positive and finite, got {self.spacing}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,15 @@ class SceneSpec:
             raise ValueError("contrast threshold must be positive")
         if not (0.0 <= self.noise_rate < 1.0):
             raise ValueError("noise_rate must be in [0, 1)")
+        g, pat = self.geometry, self.pattern
+        if isinstance(pat, MultiEdge):  # np.arange's line counts, times the points per line
+            emitters = sum(max(0.0, np.ceil((across - pat.spacing / 2.0) / pat.spacing)) * along
+                           for across, along in ((g.width, g.height), (g.height, g.width)))
+        else:
+            emitters = pat.count if isinstance(pat, Dot) else g.height
+        if emitters > MAX_AXIS_CROSSINGS:
+            raise ValueError(f"{pat} on a {g.width}x{g.height} sensor has {emitters:.3g} "
+                             f"emitters, above the limit of {MAX_AXIS_CROSSINGS:.0e}")
 
 
 def _pattern_emitters(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -92,21 +112,18 @@ def _pattern_emitters(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
         pol = np.ones(len(pts), dtype=np.int8)
         return pts, pol
     if isinstance(pat, MultiEdge):
-        pts_list = []
-        pol_list = []
-        xs_lines = np.arange(pat.spacing / 2.0, g.width, pat.spacing)
-        for k, xl in enumerate(xs_lines):
-            ys = np.arange(g.height) + 0.5
-            pts_list.append(np.stack([np.full_like(ys, xl), ys], axis=1))
-            pol_list.append(np.full(g.height, 1 if k % 2 == 0 else -1, dtype=np.int8))
-        ys_lines = np.arange(pat.spacing / 2.0, g.height, pat.spacing)
-        for k, yl in enumerate(ys_lines):
-            xs = np.arange(g.width) + 0.5
-            pts_list.append(np.stack([xs, np.full_like(xs, yl)], axis=1))
-            pol_list.append(np.full(g.width, 1 if k % 2 == 0 else -1, dtype=np.int8))
-        return np.concatenate(pts_list), np.concatenate(pol_list)
+        # vertical lines, then horizontal; line by line, one emitter per pixel
+        # along it, polarity +1, -1, +1, ... by line
+        pts, pol = [], []
+        for axis, across, along in ((0, g.width, g.height), (1, g.height, g.width)):
+            lines = np.arange(pat.spacing / 2.0, across, pat.spacing)
+            family = np.empty((len(lines), along, 2))
+            family[..., axis], family[..., 1 - axis] = lines[:, None], np.arange(along) + 0.5
+            pts.append(family.reshape(-1, 2))
+            pol.append(np.repeat((1 - 2 * (np.arange(len(lines)) % 2)).astype(np.int8), along))
+        return np.concatenate(pts), np.concatenate(pol)
     if isinstance(pat, Dot):
-        count = max(8, int(round(2.0 * math.pi * pat.radius)))
+        count = int(pat.count)
         ang = 2.0 * math.pi * np.arange(count) / count
         direction = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         pts = np.asarray(pat.center, dtype=np.float64)[None, :] + pat.radius * direction

@@ -9,7 +9,7 @@ from evjoint.baselines import (BAF_MAX_WORK, BAF_OFFSET_EVENTS, BafConfig, baf_f
                                cmax_solve, sequential_pipeline)
 from evjoint.contrast import hard_map, smooth_map
 from evjoint.events import Events, EventWindow, SensorGeometry
-from evjoint.joint import ExplicitBaseline, JointConfig, solve
+from evjoint.joint import LR_THETA, ExplicitBaseline, JointConfig, solve
 from evjoint.synth import Dot, MultiEdge, SceneSpec, generate
 from evjoint.warp import MotionParams, warp
 
@@ -178,7 +178,7 @@ class TestCmax:
         f1 = np.var(smooth_map(warp(w, theta), G).values)
         noise_gain = f1 / f0 - 1.0
         assert noise_gain < 0.25
-        budget = cfg.iterations * cfg.learning_rate_theta / (w.t_end - w.t_start)
+        budget = cfg.iterations * LR_THETA / (w.t_end - w.t_start)
         assert np.linalg.norm(theta.values) <= budget
 
         spec = SceneSpec(G, Dot((20.0, 30.0), 6.0), MotionParams.translation(40.0, 20.0), 0.3)

@@ -143,6 +143,30 @@ class TestPipeline:
         assert err.startswith("evjoint: error: non-finite objective at iteration 0")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--b-ea=inf", "--alpha=inf"])
+    def test_nonfinite_end_objective_exits_two(self, synth_file, tmp_path, capsys, flag):
+        # no step runs: the end point's evaluation is checked as every step's is
+        out = tmp_path / "o.evj"
+        assert run("denoise", "-i", str(synth_file), "-o", str(out), flag, "--iters", "0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evjoint: error: non-finite objective at iteration 0")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["denoise", "--method", "baf", "-i", "{in}", "-o", "{in}/o.evj"],
+        ["denoise", "--method", "baf", "-i", "{in}/x.evj", "-o", "o.evj"],
+        ["synth", "-o", "{in}/x.evj"],
+        ["eval", "--rmse", "{in}/est.csv", "--gt", "{in}/gt.csv"],
+    ], ids=["denoise-output", "denoise-input", "synth-output", "eval-rmse"])
+    def test_path_through_a_file_exits_two(self, synth_file, tmp_path, capsys, argv):
+        # a path that runs through a regular file raises NotADirectoryError
+        argv = [a.replace("{in}", str(synth_file)) for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("evjoint: error:")
+        assert "Not a directory" in err[0]
+
     def test_solver_runtime_warning_surfaces(self, synth_file, tmp_path, monkeypatch):
         # the CLI silences only the degenerate-window UserWarning
         def warning_solve(*args, **kwargs):
@@ -373,6 +397,29 @@ class TestSensorSizeBound:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["huge.evj", "in.csv"]
 
 
+class TestSynthPatternBound:
+    """Pattern parameters that are non-finite, or that ask for more than
+    synth.MAX_AXIS_CROSSINGS emitters, exit 2 before any emitter is
+    allocated. Unbounded, the large ones ask numpy for arrays of GiB to TiB,
+    so they run only under TestSensorSizeBound's address-space limit."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--pattern", "dot", "--radius", "inf"], "dot radius must be positive and finite"),
+        (["--pattern", "dot", "--radius", "1e12"], "6.28e+12 emitters, above the limit"),
+        (["--pattern", "multi-edge", "--spacing", "1e-7"], "8.19e+10 emitters, above the limit"),
+        (["--pattern", "vertical-edge", "--x0", "inf"], "edge column must be finite"),
+        (["--pattern", "dot", "--center", "inf,3"], "dot center must be finite"),
+    ], ids=["dot-radius-inf", "dot-radius-1e12", "multi-edge-spacing-1e-7",
+            "vertical-edge-x0-inf", "dot-center-inf"])
+    def test_unbounded_pattern_exits_two(self, tmp_path, argv, message):
+        proc = TestSensorSizeBound._run_limited(tmp_path, "synth", *argv, "-o", "x.evj")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBafRadiusBound:
     def test_huge_radius_exits_two(self, tmp_path):
         # one 100 ms window of the 128x128 benchmark CSV scene, ~35k events:
@@ -393,17 +440,22 @@ class TestBafRadiusBound:
 
 class TestFlags:
     """--log belongs to the solver commands; --seed and --threads only to
-    synth and denoise (the reproducibility criterion passes both to both)."""
+    synth and denoise (the reproducibility criterion passes both to both).
+    The solver's step sizes are constants, not flags."""
 
     @pytest.mark.parametrize("command,flag", [
         ("estimate-motion", "--seed=1"), ("estimate-motion", "--threads=1"),
         ("eval", "--seed=1"), ("eval", "--threads=1"),
         ("render", "--seed=1"), ("render", "--threads=1"),
         ("synth", "--log=json"), ("eval", "--log=json"), ("render", "--log=json"),
+        ("denoise", "--lr-theta=0.05"), ("denoise", "--lr-logits=0.1"),
+        ("estimate-motion", "--lr-theta=0.05"), ("estimate-motion", "--lr-logits=0.1"),
     ])
     def test_flag_rejected(self, synth_file, tmp_path, capsys, command, flag):
         argv = {
             "synth": ["-o", str(tmp_path / "s.evj")],
+            "denoise": ["-i", str(synth_file), "-o", str(tmp_path / "d.evj"),
+                        "--method", "cmax-seq", "--iters", "2"],
             "estimate-motion": ["-i", str(synth_file), "-o", str(tmp_path / "m.csv"),
                                 "--method", "cmax", "--iters", "2"],
             "eval": ["--pred", str(synth_file), "--truth", str(synth_file)],

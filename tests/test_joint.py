@@ -108,10 +108,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             JointConfig(tau=0.0)
 
-    def test_bad_lr(self):
-        with pytest.raises(ValueError):
-            JointConfig(learning_rate_theta=0.0)
-
     def test_negative_alpha(self):
         with pytest.raises(ValueError):
             JointConfig(alpha=-1.0)
@@ -477,17 +473,17 @@ class TestWorkspaceReuse:
     def _descend_both(self, monkeypatch, window, b_ea, b_ed, logits, model="translation2d"):
         cfg = JointConfig()
         args = (window, model, cfg, self.ITERS, b_ea, logits, _resolve_alpha(cfg), b_ed)
-        phi, out_logits, trace = _descend(*args)
+        theta, out_logits, trace, end = _descend(*args)
         fresh = joint._evaluate
         with monkeypatch.context() as mp:
             mp.setattr(joint, "_evaluate", lambda *a, ws=None, **k: fresh(*a, **k))
-            ref_phi, ref_logits, ref_trace = _descend(*args)
-        assert phi.tobytes() == ref_phi.tobytes()
+            ref_theta, ref_logits, ref_trace, ref_end = _descend(*args)
+        assert theta.values.tobytes() == ref_theta.values.tobytes()
         if logits is None:
             assert out_logits is None and ref_logits is None
         else:
             assert out_logits.tobytes() == ref_logits.tobytes()
-        assert _parts_bytes(trace) == _parts_bytes(ref_trace)
+        assert _parts_bytes(trace + [end]) == _parts_bytes(ref_trace + [ref_end])
         assert len(trace) == self.ITERS
         return trace
 
@@ -544,6 +540,24 @@ class TestWorkspaceReuse:
                                 _resolve_alpha(cfg), 0.0, 0.0, want_grads=False)
         trace = self._descend_both(monkeypatch, window, start.f_ea, start.f_ed, logits)
         assert trace[0].r_ea == trace[0].r_ed == 0.0
+
+
+@pytest.mark.parametrize("model", ["translation2d", "rotation_inplane"])
+@pytest.mark.parametrize("joint_mode", [False, True], ids=["alignment-only", "joint"])
+def test_descend_end_is_evaluate_at_returned_point(model, joint_mode):
+    # the end point's parts are exactly _evaluate's at the returned theta and
+    # logits, and the warm start's theta carries into a further descent
+    window = TestWorkspaceReuse._window(150)
+    cfg = JointConfig()
+    alpha, b_ed = _resolve_alpha(cfg), joint._denoise_baseline(window, cfg.sigma)
+    logits = np.zeros((20, 24)) if joint_mode else None
+    start, _, _, _ = _descend(window, model, cfg, 5, 0.0)
+    theta, out_logits, trace, end = _descend(window, model, cfg, 7, 0.5, logits, alpha, b_ed,
+                                             start)
+    assert len(trace) == 7 and theta.model == model
+    assert (out_logits is None) == (not joint_mode)
+    want, _, _ = _evaluate(window, theta, out_logits, cfg, alpha, 0.5, b_ed, want_grads=False)
+    assert _parts_bytes([end]) == _parts_bytes([want])
 
 
 def test_descent_steps_fault_in_few_pages(monkeypatch):

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from evjoint.contrast import hard_map
 from evjoint.events import Events, SensorGeometry
-from evjoint.synth import (Dot, MultiEdge, SceneSpec, VerticalEdge, _pattern_emitters,
-                           _signal_events, generate)
+from evjoint.synth import (MAX_AXIS_CROSSINGS, Dot, MultiEdge, SceneSpec, VerticalEdge,
+                           _pattern_emitters, _signal_events, generate)
 from evjoint.warp import MotionParams, warp
 
 G64 = SensorGeometry(64, 64)
@@ -120,6 +121,60 @@ def test_noise_rate_validation():
 def test_duration_must_be_finite():
     with pytest.raises(ValueError, match="duration"):
         SceneSpec(G64, VerticalEdge(1.0), MotionParams.translation(1.0, 0.0), math.inf)
+
+
+@pytest.mark.parametrize("geometry", [G64, SensorGeometry(33, 17), SensorGeometry(5, 300)],
+                         ids=["64x64", "33x17", "5x300"])
+@pytest.mark.parametrize("pattern", [VerticalEdge(-3.7), MultiEdge(0.7), MultiEdge(6.5),
+                                     MultiEdge(31.9), MultiEdge(100.0)], ids=repr)
+def test_line_emitters_match_loop_reference(geometry, pattern):
+    # loop reference: line by line, vertical lines first, one emitter per
+    # pixel center along each, polarity +1, -1, ... by line
+    if isinstance(pattern, VerticalEdge):
+        families = [(np.array([pattern.x0]), geometry.height, False)]
+    else:
+        families = [(np.arange(pattern.spacing / 2.0, across, pattern.spacing), along, flip)
+                    for across, along, flip in ((geometry.width, geometry.height, False),
+                                                (geometry.height, geometry.width, True))]
+    pts, pol = [np.empty((0, 2))], [np.empty(0, dtype=np.int8)]
+    for lines, along, flip in families:
+        for k, line in enumerate(lines):
+            ys = np.arange(along) + 0.5
+            pair = np.stack([np.full_like(ys, line), ys], axis=1)
+            pts.append(pair[:, ::-1] if flip else pair)
+            pol.append(np.full(along, 1 if k % 2 == 0 else -1, dtype=np.int8))
+    spec = SceneSpec(geometry, pattern, MotionParams.translation(1.0, 0.0), 0.1)
+    got_pts, got_pol = _pattern_emitters(spec)
+    assert got_pts.tobytes() == np.concatenate(pts).tobytes()
+    assert got_pol.dtype == np.int8 and got_pol.tobytes() == np.concatenate(pol).tobytes()
+
+
+@pytest.mark.parametrize("pattern,emitters", [
+    (Dot((32.0, 32.0), 1e12), "6.28e+12"), (Dot((32.0, 32.0), 1e308), "inf"),
+    (MultiEdge(1e-7), "8.19e+10"), (MultiEdge(5e-324), "inf"),
+])
+def test_too_many_emitters_rejected(pattern, emitters):
+    with pytest.raises(ValueError, match=re.escape(f"has {emitters} emitters, above the limit")):
+        SceneSpec(G64, pattern, MotionParams.translation(1.0, 0.0), 0.1)
+
+
+def test_emitter_bound_is_inclusive():
+    # a dot of exactly MAX_AXIS_CROSSINGS boundary emitters is accepted
+    radius = MAX_AXIS_CROSSINGS / (2 * math.pi)
+    assert round(2 * math.pi * radius) == MAX_AXIS_CROSSINGS
+    SceneSpec(G64, Dot((0.0, 0.0), radius), MotionParams.translation(1.0, 0.0), 0.1)
+    with pytest.raises(ValueError, match="emitters"):
+        SceneSpec(G64, Dot((0.0, 0.0), radius + 1.0), MotionParams.translation(1.0, 0.0), 0.1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: VerticalEdge(math.inf), lambda: VerticalEdge(math.nan),
+    lambda: Dot((math.inf, 3.0), 2.0), lambda: Dot((3.0, math.nan), 2.0),
+    lambda: Dot((3.0, 3.0), math.inf), lambda: MultiEdge(math.inf), lambda: MultiEdge(math.nan),
+])
+def test_non_finite_pattern_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def _reference_axis_crossings(q0: float, v: float, duration: float) -> np.ndarray:
