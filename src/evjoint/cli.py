@@ -133,7 +133,9 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
                         help="alignment baseline as kappa * warm-start variance")
     parser.add_argument("--b-ea", type=float, default=None,
                         help="explicit alignment baseline (overrides --kappa)")
-    parser.add_argument("--iters", type=int, default=JointConfig().iterations)
+    parser.add_argument("--iters", type=int, default=JointConfig().iterations,
+                        help="most joint-phase steps per window (the warm start runs at most "
+                             "half as many); a phase stops earlier once it settles")
     parser.add_argument("--sigma", type=float, default=JointConfig().sigma)
     parser.add_argument("--tau", type=float, default=JointConfig().tau)
     parser.add_argument("--window-ms", type=float, default=None)
@@ -162,8 +164,10 @@ def _solve_windows(args: argparse.Namespace, method):
                     print(json.dumps({"window": i, "iter": k, "f_ea": p.f_ea, "f_ed": p.f_ed,
                                       "r_ea": p.r_ea, "r_ed": p.r_ed,
                                       "worst_regret": p.worst_regret, "total": p.total}))
-            logger.info("window %d: %d/%d kept, theta=%s", i, int(res.labels.sum()),
-                        len(w), np.round(res.theta.values, 3).tolist())
+            steps = ("" if res.stop_reason is None else f", {res.warm_iterations} warm + "
+                     f"{len(res.trace)} joint steps ({res.stop_reason})")
+            logger.info("window %d: %d/%d kept, theta=%s%s", i, int(res.labels.sum()),
+                        len(w), np.round(res.theta.values, 3).tolist(), steps)
             yield w, res
 
     return events, geometry, solved()

@@ -219,8 +219,10 @@ class SplatCache:
                           out=work.w[:16 * m].reshape(8, 2 * m)).reshape(8, 2, m)
             yield c, lin, w[:4], w[4:]
 
-    def position_gradient(self, coefficients: np.ndarray) -> np.ndarray:
-        """Gradient of sum_ij coefficients_ij * M_ij w.r.t. positions, (N, 2)."""
+    def position_gradient(self, coefficients: np.ndarray, out: np.ndarray | None = None
+                          ) -> np.ndarray:
+        """Gradient of sum_ij coefficients_ij * M_ij w.r.t. positions, (N, 2):
+        the transpose of out, a (2, N) array (fresh when None)."""
         coef = np.asarray(coefficients, dtype=np.float64)
         if coef.shape != self.geometry.shape:
             raise ValueError("coefficient grid shape does not match geometry")
@@ -230,7 +232,8 @@ class SplatCache:
         work.regions[0][...] = coef
         for source, dest in work.blurs[1]:
             np.einsum("ijk,k->ij", source, work.taps, out=dest)
-        out = np.empty((2, len(self.positions)))  # einsum is slow into strided out=
+        if out is None:  # einsum is slow into strided out=, so it is (2, N)
+            out = np.empty((2, len(self.positions)))
         for c, lin, w, dw in self._chunks():
             # blurred coefficient at each vote; mode="wrap" (indices are in
             # range) lets take write into out= without buffering

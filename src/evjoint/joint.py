@@ -39,6 +39,11 @@ KAPPA_DEFAULT = 1.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 LR_THETA, LR_LOGITS = 0.05, 0.1
 
+# Stop rule of every descent: every STOP_EVERY steps it stops once phi has
+# moved at most STOP_EVERY * STOP_PX px per axis and no confidence weight
+# more than STOP_WEIGHT since the previous check.
+STOP_EVERY, STOP_PX, STOP_WEIGHT = 10, 3e-4, 1e-2
+
 
 class NonFiniteObjective(RuntimeError):
     """The objective became NaN or infinite during the ascent."""
@@ -67,6 +72,10 @@ BaselineSpec = Union[ExplicitBaseline, WarmStartScaled]
 
 @dataclass(frozen=True)
 class JointConfig:
+    """Objective weights, alignment baseline, kernel width, label threshold
+    and `iterations`, the most steps the joint phase runs (the warm start
+    runs at most half as many); either phase stops earlier once it settles."""
+
     alpha: float | None = None
     beta: float = 1e-4
     b_ea: BaselineSpec = field(default_factory=WarmStartScaled)
@@ -106,8 +115,9 @@ class ObjectiveParts:
 class JointResult:
     """Motion, confidence map, each event's confidence (the map's weights
     sampled bilinearly at the event warped by theta) and labels; the solver's
-    record defaults to an empty trace and NaN baselines for results no
-    objective produced."""
+    record (the joint phase's per-step trace, why it stopped, "settled" or
+    "cap", and the warm start's step count) defaults to an empty trace, no
+    stop reason and NaN baselines for results no objective produced."""
 
     theta: MotionParams
     conf: ConfidenceMap
@@ -118,6 +128,8 @@ class JointResult:
     b_ea: float = math.nan
     b_ed: float = math.nan
     alpha: float = math.nan
+    stop_reason: str | None = None
+    warm_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,11 +207,11 @@ def _resolve_alpha(cfg: JointConfig) -> float:
 
 class _Workspace:
     """What every evaluation on one window writes into or reuses: a SplatWork
-    (within contrast.WORKSPACE_LIMIT_BYTES), seven H x W maps and the
-    theta-free warp inputs (positions, time offsets, rotation center), 24
-    bytes per event. `solve` builds one per non-degenerate window and splats
-    b_ed into it too (`_descend` builds one per call when given none); it is
-    dropped with that call."""
+    (within contrast.WORKSPACE_LIMIT_BYTES), seven H x W maps, the theta-free
+    warp inputs (positions, time offsets, rotation center) and the warped
+    positions and their gradient: 56 bytes per event. `solve` builds one per
+    non-degenerate window and splats b_ed into it too (`_descend` builds one
+    per call when given none); it is dropped with that call."""
 
     def __init__(self, window: EventWindow, sigma: float):
         self.splat = SplatWork(window.geometry, sigma, len(window))
@@ -208,6 +220,7 @@ class _Workspace:
         self.center = _rotation_center(window)
         (self.dev, self.wts, self.adev, self.resid, self.coef, self.dlogits,
          self.tmp) = np.empty((7,) + window.geometry.shape)
+        self.warped, self.dpos = np.empty((len(window), 2)), np.empty((2, len(window)))
 
 
 def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool,
@@ -221,8 +234,8 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
     """
     if ws is None:
         ws = _Workspace(window, cfg.sigma)
-    cache = _splat(warp_positions(ws.positions, ws.dt, theta, ws.center), window.geometry,
-                   cfg.sigma, ws.splat)
+    cache = _splat(warp_positions(ws.positions, ws.dt, theta, ws.center, ws.warped),
+                   window.geometry, cfg.sigma, ws.splat)
     m, tmp = cache.values, ws.tmp
     n_pix = m.size
     mu_m = m.mean()
@@ -265,7 +278,8 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
         dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
         dlogits *= wts
         dlogits *= np.subtract(1.0, wts, out=tmp)
-    dtheta = warp_pullback(cache.position_gradient(coef), ws.positions, ws.dt, theta, ws.center)
+    dtheta = warp_pullback(cache.position_gradient(coef, ws.dpos), ws.positions, ws.dt, theta,
+                           ws.center)
     return parts, dtheta, dlogits
 
 
@@ -296,22 +310,29 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
              logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
              theta: MotionParams | None = None, ws: _Workspace | None = None):
-    """Full-batch Adam descent on the objective from theta (zero motion if None).
+    """Full-batch Adam descent on the objective from theta (zero motion if
+    None), for at most `iterations` steps.
 
     Steps phi = theta * span (pixels across the window; span 1 s if zero) at
     LR_THETA, whatever the window duration or the motion's magnitude. With
     logits=None only the alignment regret b_ea - f_ea is descended (f_ea
-    ascends); otherwise the logits step at LR_LOGITS after phi. Each evaluation
-    runs in ws (built here when None), each step updates copies of phi and
-    logits in place, and the end point is evaluated once more without
-    gradients, leaving its weights in ws.wts. Returns (theta, logits, trace of
-    the stepped points' parts, end point's parts); NonFiniteObjective if any
+    ascends); otherwise the logits step at LR_LOGITS after phi. Every
+    STOP_EVERY steps the point just evaluated is compared with the previous
+    check's: once phi moved at most STOP_EVERY * STOP_PX px per axis and no
+    weight more than STOP_WEIGHT, it is the end point. The rule reads neither
+    the objective nor the gradients. Each evaluation runs in ws (built here
+    when None) and each step updates copies of phi and logits in place. At
+    the cap the end point is evaluated once more without gradients; either
+    way its weights are left in ws.wts. Returns (theta, logits, trace of the
+    stepped points' parts, end point's parts); NonFiniteObjective if any
     evaluation's total is not finite.
     """
     span = (window.t_end - window.t_start) or 1.0  # EventWindow keeps t_end >= t_start
     phi = np.zeros(model_dim(model)) if theta is None else theta.values * span
+    phi_then, wts_then = phi.copy(), None
     if logits is not None:
         logits = np.array(logits, dtype=np.float64)
+        wts_then = np.empty_like(logits)
     if ws is None:
         ws = _Workspace(window, cfg.sigma)
     state_phi = AdamState.zeros_like(phi)
@@ -325,6 +346,15 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         if it == iterations:
             return theta, logits, trace, parts
+        if it % STOP_EVERY == 0:
+            if it and np.abs(phi - phi_then).max() <= STOP_EVERY * STOP_PX and (
+                    wts_then is None
+                    or np.abs(np.subtract(ws.wts, wts_then, out=ws.tmp), out=ws.tmp).max()
+                    <= STOP_WEIGHT):
+                return theta, logits, trace, parts
+            phi_then[:] = phi
+            if wts_then is not None:
+                wts_then[...] = ws.wts
         trace.append(parts)
         phi, state_phi = adam_step(phi, dtheta / span, state_phi, LR_THETA)
         if logits is not None:
@@ -335,14 +365,16 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
     """Jointly optimize motion and the per-pixel confidence map.
 
     Runs `_descend` from theta = 0 and logits = 0 (weights 0.5), both phases
-    in one workspace. With a warm-started alignment baseline, an
-    alignment-only phase of half the iteration budget runs first and b_ea is
-    kappa times f_ea at its end point; the joint phase then restarts from the
-    warm-started motion. Each event's confidence is the bilinear sample of the
-    final weights, which the joint phase's end evaluation leaves in the
-    workspace, at its warped position; it is signal when that reaches tau. A
-    window of fewer than DEGENERATE_MIN_EVENTS events gets zero motion, an
-    all-noise map, confidence 0 and NaN b_ed, and allocates no maps.
+    in one workspace; each stops once it settles, the joint phase after at
+    most cfg.iterations steps. With a warm-started alignment baseline, an
+    alignment-only phase of at most half the iteration budget runs first and
+    b_ea is kappa times f_ea at its end point; the joint phase then restarts
+    from the warm-started motion. Each event's confidence is the bilinear
+    sample of the final weights, which the joint phase's end evaluation
+    leaves in the workspace, at its warped position; it is signal when that
+    reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets
+    zero motion, an all-noise map, confidence 0 and NaN b_ed, and allocates
+    no maps.
     Deterministic: the solver is full-batch.
     """
     alpha = _resolve_alpha(cfg)
@@ -358,16 +390,18 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
 
     ws = _Workspace(window, cfg.sigma)
     b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
-    theta = None
+    theta, warm = None, []
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, _, _, end = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
+        theta, _, warm, end = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
     theta, logits, trace, final = _descend(
         window, model, cfg, cfg.iterations, b_ea, np.zeros(window.geometry.shape), alpha, b_ed,
         theta, ws)
-    confidence = interpolate_confidence(ws.wts, warp_positions(ws.positions, ws.dt, theta,
-                                                               ws.center))
+    confidence = interpolate_confidence(
+        ws.wts, warp_positions(ws.positions, ws.dt, theta, ws.center, ws.warped))
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
-                       trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha)
+                       trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
+                       stop_reason="settled" if len(trace) < cfg.iterations else "cap",
+                       warm_iterations=len(warm))

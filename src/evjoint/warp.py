@@ -73,19 +73,23 @@ def _rotation_center(window: EventWindow) -> np.ndarray:
 
 
 def warp_positions(
-    positions: np.ndarray, dt: np.ndarray, theta: MotionParams, center: np.ndarray | None = None
+    positions: np.ndarray, dt: np.ndarray, theta: MotionParams, center: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply the motion model to explicit positions and time offsets dt = t - t_ref."""
+    """Apply the motion model to explicit positions and time offsets dt = t - t_ref,
+    writing the (N, 2) result into out when given."""
     positions = np.asarray(positions, dtype=np.float64)
     dt = np.asarray(dt, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(positions)
     if theta.model == TRANSLATION_2D:
-        return positions + dt[:, None] * theta.values[None, :]
+        return np.add(positions, np.multiply(dt[:, None], theta.values[None, :], out=out),
+                      out=out)
     # in-plane rotation about the image center
     assert center is not None
     ang = theta.values[0] * dt
     c, s = np.cos(ang), np.sin(ang)
     rel = positions - center[None, :]
-    out = np.empty_like(positions)
     out[:, 0] = center[0] + c * rel[:, 0] - s * rel[:, 1]
     out[:, 1] = center[1] + s * rel[:, 0] + c * rel[:, 1]
     return out

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -293,6 +295,31 @@ class TestPipeline:
         windows = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
         assert len(windows) == 4
         assert calls == {"solve": 0, "baf_filter": 0, name: len(windows)}
+
+    def test_zero_iterations(self, synth_file, tmp_path, caplog):
+        # no step in either phase: zero motion, weights 0.5, every event signal
+        out = tmp_path / "out.evj"
+        with caplog.at_level(logging.INFO, logger="evjoint"):
+            assert run("denoise", "-i", str(synth_file), "-o", str(out), "--iters", "0") == 0
+        side = json.loads((tmp_path / "out.evj.json").read_text())
+        (rec,) = side["windows"]
+        assert rec["theta"] == [0.0, 0.0] and rec["iterations"] == 0
+        assert side["confidence"] == [[0.5] * rec["counts"]["events"]]
+        assert read_events(out).labels.all()
+        assert "theta=[0.0, 0.0], 0 warm + 0 joint steps (cap)" in caplog.text
+
+    def test_stop_reason_logged_not_recorded(self, synth_file, tmp_path, caplog):
+        out = tmp_path / "out.evj"
+        with caplog.at_level(logging.INFO, logger="evjoint"):
+            assert run("denoise", "-i", str(synth_file), "-o", str(out),
+                       "--window-ms", "40") == 0
+        records = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("window")]
+        assert len(lines) == len(records) == 3
+        for line, rec in zip(lines, records):
+            assert re.search(rf", \d+ warm \+ {rec['iterations']} joint steps "
+                             r"\((settled|cap)\)$", line), line
+            assert not {"stop_reason", "warm_iterations"} & set(rec)
 
     def test_json_log_traces(self, synth_file, tmp_path, capsys):
         out = tmp_path / "out.evj"

@@ -347,6 +347,11 @@ class TestVarianceGradients:
             assert reused.values.tobytes() == fresh.values.tobytes()
             assert (reused.position_gradient(coef).tobytes()
                     == fresh.position_gradient(coef).tobytes())
+            # into a given (2, N) buffer: the same bytes, returned as its transpose
+            buf = np.full((2, 50), np.nan)
+            into = reused.position_gradient(coef, buf)
+            assert into.base is buf and into.shape == (50, 2)
+            assert into.tobytes() == fresh.position_gradient(coef).tobytes()
         with pytest.raises(ValueError, match="another geometry or sigma"):
             contrast.SplatCache(pos, G16, 2.0, work)
 

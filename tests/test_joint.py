@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,16 @@ class TestSolve:
         assert np.all(res.conf.weights == 0.5)
         assert res.labels.all()  # 0.5 >= tau = 0.5
         assert res.trace == []
+        assert res.stop_reason == "cap" and res.warm_iterations == 0
+
+    def test_zero_iterations_with_warm_start(self):
+        # no warm-start step either: b_ea is kappa times f_ea at theta = 0
+        w = random_window(np.random.default_rng(1))
+        res = solve(w, JointConfig(iterations=0))
+        assert np.array_equal(res.theta.values, [0.0, 0.0])
+        assert res.trace == [] and res.warm_iterations == 0 and res.stop_reason == "cap"
+        f_ea = objective(w, res.theta, res.conf, JointConfig(b_ea=ExplicitBaseline(0.0))).f_ea
+        assert res.b_ea == KAPPA_DEFAULT * f_ea
 
     def test_degenerate_window(self):
         ev = Events([1.0, 2.0], [1.0, 2.0], [0.1, 0.2], [1, -1])
@@ -438,6 +449,76 @@ class TestSolve:
         cfg = JointConfig(b_ea=ExplicitBaseline(np.inf), iterations=5)
         with pytest.raises(RuntimeError, match="iteration 0"):
             solve(w, cfg)
+
+
+class TestStopRule:
+    """Each descent stops at the first check (every STOP_EVERY steps) where
+    phi and the weights have settled; `iterations` only caps it."""
+
+    @staticmethod
+    def _window():
+        # a small-windows benchmark window: both phases of the default solve settle
+        spec = SceneSpec(SensorGeometry(96, 96), Dot((24.0, 40.0), 8.0),
+                         MotionParams.translation(40.0, 25.0), 0.25, noise_rate=0.1)
+        return generate(spec, seed=2)[0]
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record (theta bytes, logits copy or None) of every evaluation."""
+        seen, real = [], joint._evaluate
+
+        def recorded(window, theta, logits, *args, **kwargs):
+            seen.append((theta.values.tobytes(), None if logits is None else logits.copy()))
+            return real(window, theta, logits, *args, **kwargs)
+
+        monkeypatch.setattr(joint, "_evaluate", recorded)
+        return seen
+
+    def test_settled_window_stops_before_the_cap(self, monkeypatch):
+        window, cfg = self._window(), JointConfig()
+        seen = self._record(monkeypatch)
+        res = solve(window, cfg)
+        assert res.stop_reason == "settled"
+        steps = len(res.trace)
+        assert steps < cfg.iterations and steps % joint.STOP_EVERY == 0
+        # the warm start's evaluations, then one per joint step plus the end point
+        assert len(seen) == res.warm_iterations + 1 + steps + 1
+        end, before = seen[-1], seen[-1 - joint.STOP_EVERY]
+        assert end[0] == res.theta.values.tobytes()
+        assert end[1].tobytes() == res.conf.logits.tobytes()
+        span = window.t_end - window.t_start
+        moved = np.abs(np.frombuffer(end[0]) - np.frombuffer(before[0])) * span
+        assert moved.max() <= joint.STOP_EVERY * joint.STOP_PX
+        assert np.abs(sigmoid(end[1]) - sigmoid(before[1])).max() <= joint.STOP_WEIGHT
+        # the end point is the last evaluated point, its parts and weights unchanged
+        want, _, _ = _evaluate(window, res.theta, res.conf.logits, cfg, res.alpha, res.b_ea,
+                               res.b_ed, want_grads=False)
+        assert _parts_bytes([res.final]) == _parts_bytes([want])
+        sampled = interpolate_confidence(res.conf.weights, warp(window, res.theta))
+        assert res.confidence.tobytes() == sampled.tobytes()
+
+    @pytest.mark.parametrize("iterations", [5, 30])
+    def test_unsettled_window_runs_to_the_cap(self, iterations):
+        res = solve(self._window(), JointConfig(iterations=iterations))
+        assert res.stop_reason == "cap"
+        assert len(res.trace) == iterations and res.warm_iterations == iterations // 2
+
+    def test_alignment_only_joint_phase_stops_with_cmax(self, monkeypatch):
+        # criterion 6's scene: with alpha = beta = 0 and b_ea = 1e12 the joint
+        # phase steps phi exactly as cmax_solve does, so both stop at one step
+        spec = SceneSpec(SensorGeometry(32, 32), Dot((12.0, 16.0), 4.0),
+                         MotionParams.translation(30.0, 10.0), 0.15)
+        scene = generate(spec, seed=0)[0]
+        seen = self._record(monkeypatch)
+        res = solve(scene, JointConfig(alpha=0.0, beta=0.0, b_ea=ExplicitBaseline(1e12),
+                                       iterations=300))
+        ea_only = [theta for theta, _ in seen]
+        seen.clear()
+        theta = cmax_solve(scene, "translation2d", JointConfig(iterations=300))
+        assert res.stop_reason == "settled" and len(res.trace) < 300
+        assert [theta for theta, _ in seen] == ea_only
+        assert len(ea_only) == len(res.trace) + 1
+        assert theta.values.tobytes() == res.theta.values.tobytes()
 
 
 class TestInterpolation:
@@ -583,3 +664,33 @@ def test_descent_steps_fault_in_few_pages(monkeypatch):
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     per_step = (faults[-1] - faults[5]) / 50
     assert per_step <= 25, f"{per_step:.1f} minor page faults per descent step"
+
+
+
+def test_descent_steps_allocate_no_per_event_arrays(monkeypatch):
+    # The warped positions and their gradient, (N, 2) each, live in the
+    # workspace: over steps 5-25 of a translation descent on 17,000 events the
+    # traced peak stays less than one such array (272 KB) above the memory
+    # held at step 5; numpy's 128 KB ufunc buffers fit under that. Allocated
+    # per step, the two arrays took the peak to about 670 KB above it.
+    window = TestWorkspaceReuse._window(17000, width=32, height=32)
+    cfg = JointConfig()
+    held = []
+    real = joint._evaluate
+
+    def counted(*args, **kwargs):
+        if len(held) == 5:
+            tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(joint, "_evaluate", counted)
+    tracemalloc.start()
+    try:
+        _descend(window, "translation2d", cfg, 25, 0.5, np.zeros((32, 32)), _resolve_alpha(cfg),
+                 joint._denoise_baseline(window, cfg.sigma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 26
+    assert peak - held[5] < 17000 * 16, f"{(peak - held[5]) >> 10} KB above step 5"

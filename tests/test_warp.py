@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evjoint.events import Events, EventWindow, SensorGeometry
-from evjoint.warp import MotionParams, _rotation_center, warp, warp_pullback
+from evjoint.warp import MotionParams, _rotation_center, warp, warp_positions, warp_pullback
 
 G = SensorGeometry(16, 16)
 
@@ -117,3 +117,13 @@ def test_warped_events_parallel_to_source():
     assert out.shape == (len(w), 2)
     # positions may leave the sensor and are kept as-is
     assert out[:, 0].max() > 16
+
+
+@pytest.mark.parametrize("theta", [MotionParams.translation(3.0, -7.5),
+                                   MotionParams.rotation(0.8)])
+def test_warp_positions_into_a_given_buffer(theta):
+    w = _random_window(np.random.default_rng(6))
+    args = (w.positions, w.times - w.t_ref, theta, _rotation_center(w))
+    buf = np.full((len(w), 2), np.nan)
+    assert warp_positions(*args, buf) is buf
+    assert buf.tobytes() == warp_positions(*args).tobytes() == warp(w, theta).tobytes()
