@@ -9,8 +9,8 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend,
-                    interpolate_confidence)
+from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _guarded_start,
+                    _Workspace, interpolate_confidence)
 from .warp import MotionParams, warp
 
 # baf_filter's work, (2r + 1)^2 neighbour offsets times (n events plus a fixed
@@ -90,30 +90,50 @@ def baf_filter(window: EventWindow, cfg: BafConfig) -> np.ndarray:
     return labels
 
 
-def cmax_solve(window: EventWindow, model: str, cfg: JointConfig) -> MotionParams:
-    """Estimate motion by Adam ascent on the alignment variance alone."""
+def _cmax(window: EventWindow, model: str, cfg: JointConfig,
+          theta: MotionParams | None = None) -> tuple[MotionParams, dict]:
+    """cmax_solve's motion and its record in JointResult's fields (empty for a
+    degenerate window): the steps as warm_iterations, since the ascent is
+    `solve`'s warm start run to cfg.iterations, stop_reason and seeded."""
     if len(window) < DEGENERATE_MIN_EVENTS:
-        return MotionParams.zero(model)
-    return _descend(window, model, cfg, cfg.iterations, 0.0)[0]
+        return MotionParams.zero(model), {}
+    ws = _Workspace(window, cfg.sigma)
+    start = _guarded_start(window, model, cfg, theta, ws)
+    end, _, trace, _ = _descend(window, model, cfg, cfg.iterations, 0.0, theta=start, ws=ws)
+    return end, {"warm_iterations": len(trace), "seeded": start is not None,
+                 "stop_reason": "settled" if len(trace) < cfg.iterations else "cap"}
 
 
-def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:
+def cmax_solve(window: EventWindow, model: str, cfg: JointConfig,
+               theta: MotionParams | None = None) -> MotionParams:
+    """Estimate motion by Adam ascent on the alignment variance alone, from
+    zero motion or, if its alignment variance is strictly larger, from theta
+    (the guard `solve` puts on its `start`)."""
+    return _cmax(window, model, cfg, theta)[0]
+
+
+def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams,
+                **record) -> JointResult:
     """A density filter's labels `keep` with motion theta. The confidence map
     is the binary mask of pixels holding a kept event warped by theta, the
-    frame `solve`'s map is in; each event's confidence samples it there."""
+    frame `solve`'s map is in; each event's confidence samples it there.
+    record holds further JointResult fields (the solver record of theta)."""
     warped = warp(window, theta)
     mask = hard_map(warped[keep], window.geometry).values > 0
     return JointResult(theta, ConfidenceMap.from_weights_mask(mask), keep,
-                       interpolate_confidence(mask, warped))
+                       interpolate_confidence(mask, warped), **record)
 
 
-def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig,
-                        cmax_cfg: JointConfig, model: str = "translation2d") -> JointResult:
+def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig, cmax_cfg: JointConfig,
+                        model: str = "translation2d",
+                        theta: MotionParams | None = None) -> JointResult:
     """Denoise first, then estimate motion on the kept subset.
 
     Labels come from the density filter and motion from contrast
-    maximization over the kept events only (see `kept_result`).
+    maximization over the kept events only (see `kept_result`), seeded with
+    theta as cmax_solve is.
     """
     keep = baf_filter(window, baf_cfg)
-    kept_window = replace(window, events=window.events.take(keep))
-    return kept_result(window, keep, cmax_solve(kept_window, model, cmax_cfg))
+    kept = replace(window, events=window.events.take(keep), check_sorted=False)  # a sorted subset
+    end, record = _cmax(kept, model, cmax_cfg, theta)
+    return kept_result(window, keep, end, **record)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import BafConfig, baf_filter, cmax_solve, kept_result, sequential_pipeline
+from .baselines import BafConfig, _cmax, baf_filter, kept_result, sequential_pipeline
 from .contrast import hard_map, smooth_map
 from .events import (
     Events,
@@ -149,25 +149,33 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
 
 def _solve_windows(args: argparse.Namespace, method):
     """Load and window the input; return (events, geometry, solved), where
-    solved yields (window, method(window)) one window at a time, after its
-    `--log json` trace and its log line are out."""
+    solved yields (window, method(window, start)) one window at a time, after
+    its `--log json` trace and its log line are out. start is the previous
+    window's motion if a solver produced it (None for the first window and
+    after a degenerate or solver-free one); the method guards it."""
     events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
     windows = _make_windows(events, geometry, args.window_ms, args.window_count)
 
     def solved():
+        start = None
         for i, w in enumerate(windows):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # degenerate windows
-                res = method(w)
+                res = method(w, start)
             if args.log == "json":
                 for k, p in enumerate(res.trace):
                     print(json.dumps({"window": i, "iter": k, "f_ea": p.f_ea, "f_ed": p.f_ed,
                                       "r_ea": p.r_ea, "r_ed": p.r_ed,
                                       "worst_regret": p.worst_regret, "total": p.total}))
-            steps = ("" if res.stop_reason is None else f", {res.warm_iterations} warm + "
-                     f"{len(res.trace)} joint steps ({res.stop_reason})")
+            steps = ""
+            if res.stop_reason is not None:  # a solver ran: its steps and where it began
+                counts = (f"{res.warm_iterations} cmax steps" if res.final is None else
+                          f"{res.warm_iterations} warm + {len(res.trace)} joint steps")
+                origin = f"window {i - 1}" if res.seeded else "zero"
+                steps = f", {counts} ({res.stop_reason}), from {origin}"
             logger.info("window %d: %d/%d kept, theta=%s%s", i, int(res.labels.sum()),
                         len(w), np.round(res.theta.values, 3).tolist(), steps)
+            start = None if res.stop_reason is None else res.theta
             yield w, res
 
     return events, geometry, solved()
@@ -217,9 +225,9 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     baf_cfg = BafConfig(dt_max=args.baf_dt_max / 1000.0, radius=args.baf_radius,
                         min_support=args.baf_min_support)
     method = {
-        "joint": lambda w: solve(w, cfg, model=args.model),
-        "baf": lambda w: kept_result(w, baf_filter(w, baf_cfg), MotionParams.zero(args.model)),
-        "cmax-seq": lambda w: sequential_pipeline(w, baf_cfg, cfg, model=args.model),
+        "joint": lambda w, start: solve(w, cfg, model=args.model, start=start),
+        "baf": lambda w, _: kept_result(w, baf_filter(w, baf_cfg), MotionParams.zero(args.model)),
+        "cmax-seq": lambda w, start: sequential_pipeline(w, baf_cfg, cfg, args.model, start),
     }[args.method]
     events, geometry, solved = _solve_windows(args, method)
     labels_out, records, confidences = [], [], []
@@ -239,10 +247,14 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 def cmd_estimate_motion(args: argparse.Namespace) -> int:
     cfg = _joint_config(args)
+
+    def cmax(w, start):
+        theta, record = _cmax(w, args.model, cfg, start)
+        return kept_result(w, np.zeros(len(w), dtype=bool), theta, **record)
+
     method = {
-        "joint": lambda w: solve(w, cfg, model=args.model),
-        "cmax": lambda w: kept_result(w, np.zeros(len(w), dtype=bool),
-                                      cmax_solve(w, args.model, cfg)),
+        "joint": lambda w, start: solve(w, cfg, model=args.model, start=start),
+        "cmax": cmax,
     }[args.method]
     _, _, solved = _solve_windows(args, method)
     records = [{"t_ref": w.t_ref, "theta": res.theta.values.tolist()} for w, res in solved]

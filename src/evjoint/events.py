@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import dropwhile, filterfalse
 from pathlib import Path
 from typing import NamedTuple
@@ -127,19 +127,25 @@ class Events:
 
 @dataclass(frozen=True)
 class EventWindow:
-    """Time-bounded slice of a stream plus sensor geometry and reference time."""
+    """Time-bounded slice of a stream plus sensor geometry and reference time.
+
+    check_sorted=False skips the O(n) time-order check, for slices of a
+    stream already checked (as `window_stream` cuts them); the bounds are
+    checked either way.
+    """
 
     events: Events
     geometry: SensorGeometry
     t_start: float
     t_end: float
     t_ref: float
+    check_sorted: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, check_sorted: bool) -> None:
         if not (self.t_start <= self.t_ref <= self.t_end):
             raise ValueError("t_ref must lie within [t_start, t_end]")
         if len(self.events) > 0:
-            if not self.events.is_time_sorted():
+            if check_sorted and not self.events.is_time_sorted():
                 raise ValueError("window events must be sorted by time")
             if self.events.t[0] < self.t_start or self.events.t[-1] > self.t_end:
                 raise ValueError("window events fall outside [t_start, t_end]")
@@ -391,5 +397,6 @@ def window_stream(events: Events, geometry: SensorGeometry, policy) -> list[Even
             edge = t0 + idx[lo] * policy.seconds
             t_start = min(edge, t_start)
             t_end = max(edge + policy.seconds, t_end)
-        windows.append(EventWindow(chunk, geometry, t_start, t_end, 0.5 * (t_start + t_end)))
+        windows.append(EventWindow(chunk, geometry, t_start, t_end, 0.5 * (t_start + t_end),
+                                   check_sorted=False))  # the stream was checked above
     return windows

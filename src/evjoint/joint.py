@@ -116,8 +116,9 @@ class JointResult:
     """Motion, confidence map, each event's confidence (the map's weights
     sampled bilinearly at the event warped by theta) and labels; the solver's
     record (the joint phase's per-step trace, why it stopped, "settled" or
-    "cap", and the warm start's step count) defaults to an empty trace, no
-    stop reason and NaN baselines for results no objective produced."""
+    "cap", the warm start's step count and whether the first descent began
+    at the caller's `start`) defaults to an empty trace, no stop reason and
+    NaN baselines for results no objective produced."""
 
     theta: MotionParams
     conf: ConfidenceMap
@@ -130,6 +131,7 @@ class JointResult:
     alpha: float = math.nan
     stop_reason: str | None = None
     warm_iterations: int = 0
+    seeded: bool = False
 
 
 @dataclass(frozen=True)
@@ -307,6 +309,21 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
     return dtheta, dlogits
 
 
+def _guarded_start(window: EventWindow, model: str, cfg: JointConfig,
+                   start: MotionParams | None, ws: _Workspace) -> MotionParams | None:
+    """start if its alignment variance f_ea is strictly above zero motion's,
+    else None (descend from zero motion). Two evaluations in ws, without
+    gradients; none when start is None."""
+    if start is None:
+        return None
+    if start.model != model:
+        raise ValueError(f"start is a {start.model} motion, the solve's model is {model}")
+    f_zero, f_start = (
+        _evaluate(window, theta, None, cfg, math.nan, 0.0, math.nan, False, ws)[0].f_ea
+        for theta in (MotionParams.zero(model), start))
+    return start if f_start > f_zero else None
+
+
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
              logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
              theta: MotionParams | None = None, ws: _Workspace | None = None):
@@ -361,7 +378,8 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
             logits, state_log = adam_step(logits, dlogits, state_log, LR_LOGITS)
 
 
-def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) -> JointResult:
+def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
+          start: MotionParams | None = None) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
 
     Runs `_descend` from theta = 0 and logits = 0 (weights 0.5), both phases
@@ -369,7 +387,13 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
     most cfg.iterations steps. With a warm-started alignment baseline, an
     alignment-only phase of at most half the iteration budget runs first and
     b_ea is kappa times f_ea at its end point; the joint phase then restarts
-    from the warm-started motion. Each event's confidence is the bilinear
+    from the warm-started motion. A `start` (say, the previous window's
+    motion) is guarded: the alignment variance f_ea is evaluated at zero
+    motion and at start, without gradients, and the first phase begins at
+    start only if its f_ea is strictly larger (`seeded` records which). A
+    seed that no longer fits, as after the motion reverses, thus costs two
+    evaluations and changes nothing; without start the solve is the
+    unseeded one, bit for bit. Each event's confidence is the bilinear
     sample of the final weights, which the joint phase's end evaluation
     leaves in the workspace, at its warped position; it is signal when that
     reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets
@@ -390,9 +414,11 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
 
     ws = _Workspace(window, cfg.sigma)
     b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
-    theta, warm = None, []
+    theta = seed = _guarded_start(window, model, cfg, start, ws)
+    warm = []
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, _, warm, end = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws=ws)
+        theta, _, warm, end = _descend(window, model, cfg, cfg.iterations // 2, 0.0,
+                                       theta=theta, ws=ws)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
@@ -404,4 +430,4 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D) ->
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
                        trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
                        stop_reason="settled" if len(trace) < cfg.iterations else "cap",
-                       warm_iterations=len(warm))
+                       warm_iterations=len(warm), seeded=seed is not None)

@@ -16,8 +16,11 @@ import evjoint
 from evjoint import cli
 from evjoint.baselines import cmax_solve
 from evjoint.cli import main
-from evjoint.events import FixedDuration, SensorGeometry, read_events, window_stream, write_events
+from evjoint.events import (Events, FixedDuration, SensorGeometry, read_events, window_stream,
+                            write_events)
 from evjoint.joint import JointConfig, solve
+from evjoint.synth import Dot, SceneSpec, generate
+from evjoint.warp import MotionParams
 
 
 def run(*argv):
@@ -212,9 +215,11 @@ class TestPipeline:
         windows = window_stream(loaded.events, loaded.geometry, FixedDuration(0.04))
         assert len(lines) == 1 + len(windows) == 4
         cfg = JointConfig(iterations=30)
+        theta = None  # each window's ascent is seeded with the previous window's motion
         for line, w in zip(lines[1:], windows):
             row = [float(v) for v in line.split(",")]
-            assert row == [w.t_ref, *cmax_solve(w, model, cfg).values.tolist()]
+            theta = cmax_solve(w, model, cfg, theta=theta)
+            assert row == [w.t_ref, *theta.values.tolist()]
 
     def test_rmse_eval(self, synth_file, tmp_path, capsys):
         traj = tmp_path / "traj.csv"
@@ -316,10 +321,10 @@ class TestPipeline:
         records = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("window")]
         assert len(lines) == len(records) == 3
-        for line, rec in zip(lines, records):
+        for i, (line, rec) in enumerate(zip(lines, records)):
             assert re.search(rf", \d+ warm \+ {rec['iterations']} joint steps "
-                             r"\((settled|cap)\)$", line), line
-            assert not {"stop_reason", "warm_iterations"} & set(rec)
+                             rf"\((settled|cap)\), from (zero|window {i - 1})$", line), line
+            assert not {"stop_reason", "warm_iterations", "seeded"} & set(rec)
 
     def test_json_log_traces(self, synth_file, tmp_path, capsys):
         out = tmp_path / "out.evj"
@@ -328,6 +333,91 @@ class TestPipeline:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == 5
         assert {"window", "iter", "f_ea", "f_ed", "total"} <= set(lines[0])
+
+
+def _joined(tmp_path, geometry, parts):
+    """Write the event streams one after another; a (spec, t0) part is the
+    scene's stream (seed 1) shifted to start at t0."""
+    streams = []
+    for part in parts:
+        if isinstance(part, tuple):
+            ev = generate(part[0], 1)[0].events
+            part = Events(ev.x, ev.y, ev.t + part[1], ev.p)
+        streams.append(part)
+    path = tmp_path / "joined.evj"
+    write_events(Events.concatenate(streams), path, geometry=geometry)
+    return path
+
+
+class TestWarmStartSeed:
+    """Window k's first descent starts from window k-1's motion when that
+    aligns window k better than zero motion does."""
+
+    def test_velocity_reversal(self, tmp_path, caplog):
+        g = SensorGeometry(96, 96)
+        there = SceneSpec(g, Dot((24.0, 40.0), 8.0), MotionParams.translation(40.0, 25.0), 1.0,
+                          noise_rate=0.1)
+        back = SceneSpec(g, Dot((64.0, 65.0), 8.0), MotionParams.translation(-40.0, -25.0), 1.0,
+                         noise_rate=0.1)
+        src = _joined(tmp_path, g, [(there, 0.0), (back, 1.0)])
+        out = tmp_path / "out.evj"
+        with caplog.at_level(logging.INFO, logger="evjoint"):
+            assert run("denoise", "-i", str(src), "-o", str(out), "--method", "joint",
+                       "--window-ms", "250") == 0
+        records = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
+        assert len(records) == 8
+        for rec in records:
+            truth = np.array([-40.0, -25.0]) if rec["t_ref"] < 1.0 else np.array([40.0, 25.0])
+            err = np.linalg.norm(np.array(rec["theta"]) - truth) / np.linalg.norm(truth)
+            assert err < 0.01, (rec["t_ref"], rec["theta"])
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("window")]
+        # the constant stretches are seeded; the reversed motion misaligns window 4
+        assert [line.endswith(f"from window {i - 1}") for i, line in enumerate(lines)] == [
+            False, True, True, True, False, True, True, True]
+
+    def test_degenerate_window_resets_the_seed(self, tmp_path, monkeypatch):
+        g = SensorGeometry(64, 64)
+        spec = SceneSpec(g, Dot((20.0, 30.0), 6.0), MotionParams.translation(30.0, 10.0), 0.2,
+                         noise_rate=0.1)
+        stray = Events([5.5, 40.5, 12.5, 60.5], [8.5, 3.5, 50.5, 30.5], [0.22, 0.24, 0.26, 0.28],
+                       np.ones(4, dtype=np.int8))
+        src = _joined(tmp_path, g, [(spec, 0.0), stray, (spec, 0.3)])
+        starts = []
+
+        def recording(w, cfg, model, start=None):
+            starts.append(start)
+            return solve(w, cfg, model=model, start=start)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        outs = [tmp_path / "a.evj", tmp_path / "b.evj"]
+        for out in outs:
+            assert run("denoise", "-i", str(src), "-o", str(out), "--window-ms", "100",
+                       "--iters", "60") == 0
+        records = json.loads((tmp_path / "a.evj.json").read_text())["windows"]
+        counts = [rec["counts"]["events"] for rec in records]
+        assert len(counts) == 5 and counts[2] < 10 <= min(counts[:2] + counts[3:])
+        seeds = starts[:5]
+        assert seeds[0] is None and seeds[3] is None  # first window, window after degenerate
+        for k in (1, 2, 4):
+            assert seeds[k].values.tolist() == records[k - 1]["theta"]
+        # seeded runs stay deterministic (criterion 7)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert (tmp_path / "a.evj.json").read_text().replace("a.evj", "b.evj") == \
+            (tmp_path / "b.evj.json").read_text()
+
+    def test_cmax_windows_log_steps_and_start(self, synth_file, tmp_path, caplog):
+        out = tmp_path / "traj.csv"
+        with caplog.at_level(logging.INFO, logger="evjoint"):
+            assert run("estimate-motion", "-i", str(synth_file), "-o", str(out),
+                       "--method", "cmax", "--window-ms", "40") == 0
+            assert run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "o.evj"),
+                       "--method", "cmax-seq", "--window-ms", "40") == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("window")]
+        assert len(lines) == 6
+        for i, line in enumerate(lines):
+            assert re.search(rf", \d+ cmax steps \((settled|cap)\), from "
+                             rf"(zero|window {i % 3 - 1})$", line), line
+        assert lines[0].endswith("from zero") and lines[3].endswith("from zero")
 
 
 class TestRender:

@@ -327,6 +327,18 @@ class TestWindowing:
                 assert w.t_start <= w.t_ref <= w.t_end
                 assert np.all(w.times >= w.t_start) and np.all(w.times <= w.t_end)
 
+    def test_stream_sort_checked_once(self, monkeypatch):
+        # the windows are slices of the checked stream; a public EventWindow still checks
+        calls = []
+        real = Events.is_time_sorted
+        monkeypatch.setattr(Events, "is_time_sorted", lambda ev: calls.append(len(ev)) or real(ev))
+        ev = _random_events(np.random.default_rng(3), 500)
+        wins = window_stream(ev, SensorGeometry(64, 48), FixedCount(50))
+        assert len(wins) == 10 and calls == [500]
+        backwards = Events(np.ones(2), np.ones(2), np.array([0.2, 0.1]), np.ones(2, np.int8))
+        with pytest.raises(ValueError, match="sorted"):
+            EventWindow(backwards, SensorGeometry(4, 4), 0.0, 0.3, 0.15)
+
     def test_window_index_overflow_rejected(self):
         ev = Events(np.ones(3), np.ones(3), np.array([0.064, 0.814, 0.9]), np.ones(3, np.int8))
         with warnings.catch_warnings():

@@ -521,6 +521,63 @@ class TestStopRule:
         assert theta.values.tobytes() == res.theta.values.tobytes()
 
 
+class TestStart:
+    """solve's and cmax_solve's optional seed, guarded by the alignment
+    variance: taken only if it aligns the window strictly better than zero."""
+
+    @staticmethod
+    def _window():
+        spec = SceneSpec(SensorGeometry(96, 96), Dot((24.0, 40.0), 8.0),
+                         MotionParams.translation(40.0, 25.0), 0.25, noise_rate=0.1)
+        return generate(spec, seed=2)[0]
+
+    @staticmethod
+    def _same(a, b):
+        assert a.theta.values.tobytes() == b.theta.values.tobytes()
+        assert a.confidence.tobytes() == b.confidence.tobytes()
+        assert _parts_bytes(a.trace + [a.final]) == _parts_bytes(b.trace + [b.final])
+        assert (a.b_ea, a.warm_iterations, a.stop_reason) == (b.b_ea, b.warm_iterations,
+                                                               b.stop_reason)
+
+    def test_close_seed_is_taken_and_shortens_the_warm_start(self):
+        window, cfg = self._window(), JointConfig()
+        cold = solve(window, cfg)
+        warm = solve(window, cfg, start=MotionParams.translation(-39.0, -24.0))
+        assert not cold.seeded and warm.seeded
+        assert warm.warm_iterations < cold.warm_iterations
+        assert np.allclose(warm.theta.values, [-40.0, -25.0], rtol=0.01)
+
+    def test_misaligning_seed_changes_nothing(self):
+        window, cfg = self._window(), JointConfig()
+        res = solve(window, cfg, start=MotionParams.translation(40.0, 25.0))  # reversed
+        assert not res.seeded
+        self._same(res, solve(window, cfg))
+
+    def test_zero_seed_is_not_strictly_better(self):
+        window, cfg = self._window(), JointConfig(iterations=20)
+        res = solve(window, cfg, start=MotionParams.zero("translation2d"))
+        assert not res.seeded
+        self._same(res, solve(window, cfg))
+
+    def test_seed_of_another_model_rejected(self):
+        with pytest.raises(ValueError, match="rotation_inplane"):
+            solve(self._window(), JointConfig(), start=MotionParams.rotation(0.1))
+
+    def test_cmax_takes_the_same_guard(self):
+        window, cfg = self._window(), JointConfig()
+        cold = cmax_solve(window, "translation2d", cfg)
+        bad = cmax_solve(window, "translation2d", cfg, theta=MotionParams.translation(40.0, 25.0))
+        assert bad.values.tobytes() == cold.values.tobytes()
+        seeded = cmax_solve(window, "translation2d", cfg,
+                            theta=MotionParams.translation(-39.0, -24.0))
+        assert np.allclose(seeded.values, [-40.0, -25.0], rtol=0.01)
+        # criterion 6 with a seed: the alignment-only joint phase starts where cmax does
+        ea_only = solve(window, JointConfig(alpha=0.0, beta=0.0, b_ea=ExplicitBaseline(1e12)),
+                        start=MotionParams.translation(-39.0, -24.0))
+        assert ea_only.seeded
+        assert np.linalg.norm(ea_only.theta.values - seeded.values) < 1e-9
+
+
 class TestInterpolation:
     def test_center_sampling_exact(self):
         wts = np.zeros((4, 4))
