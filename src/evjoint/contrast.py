@@ -7,6 +7,8 @@ CVPR 2018), is differentiable in the event positions. Its one kernel,
 weights (variance 1/3 px^2 per axis, C^2), then blurs the votes once with a
 separable sampled Gaussian of variance sigma^2 - 1/3, so sigma > 1/sqrt(3).
 The position gradient is the adjoint: blur, then gather 16 taps per event.
+Each blur pass is a BLAS matrix-vector product along axis 0 of a C-order
+map, then a transposed copy.
 """
 
 from __future__ import annotations
@@ -126,13 +128,18 @@ def kernel_size(sigma: float, shape: tuple[int, int] = (1, 1)) -> tuple[int, int
 
 class SplatWork:
     """The splat kernel's buffers for one geometry, sigma and event count, at
-    most WORKSPACE_LIMIT_BYTES: the vote map padded by P = max(2 half, half +
-    4) pixels (later the blurred coefficient grid), a blur scratch map of its
-    size, the cropped map and one chunk's votes. Every splat and gradient
-    overwrites them; the caller may reuse it for any number of splats."""
+    most WORKSPACE_LIMIT_BYTES: `padded`, the vote map padded by P = max(2
+    half, half + 4) pixels (in the gradient, the zero-padded and then the
+    blurred coefficient grid; between a blur's two passes, its transposed
+    intermediate, at its start); `scratch`, of its size, each blur pass's
+    C-order output; `values`, the cropped map; and one chunk's taps and
+    votes, whose `lin` and `w` are the splat's and chunk's named by `held`.
+    Every splat and gradient overwrites them; the caller may reuse it for
+    any number of splats."""
 
     __slots__ = ("geometry", "sigma", "half", "step", "pad", "taps", "offsets", "hi", "padded",
-                 "regions", "blurs", "scratch", "values", "pw", "f", "base", "w", "lin", "block")
+                 "regions", "blurs", "scratch", "values", "pw", "f", "base", "w", "lin", "block",
+                 "held")
 
     def __init__(self, geometry: SensorGeometry, sigma: float, n_events: int):
         half, self.step = kernel_size(sigma, geometry.shape)
@@ -144,17 +151,26 @@ class SplatWork:
         self.padded, self.scratch = np.zeros((2, h + 2 * p, w + 2 * p))
         self.values = np.empty((h, w))
         # the padded map within 0, half and 2 half of the sensor; the blur as
-        # (window view, out) passes, rows then columns via scratch, for the
-        # splat and its adjoint. The views, sliding_window_view's of k taps
-        # without its 20 us of checks, are built once: built per call, they
-        # grew peak RSS by about 1.5 MB over a small-windows benchmark run.
+        # two (window view, out, dest) passes for the splat and its adjoint,
+        # each a gemv per row into scratch (half the time of an einsum), its
+        # transpose copied to padded (consumed by then), then to the output.
+        # The views, sliding_window_view's of k taps without its 20 us of
+        # checks, are built once: built per call, they grew peak RSS by about
+        # 1.5 MB over a small-windows benchmark run.
         self.regions = [self.padded[p - r:p + h + r, p - r:p + w + r] for r in (0, half, 2 * half)]
         view, k, self.blurs = np.lib.stride_tricks.as_strided, 2 * half + 1, []
-        for source, out in ((self.regions[1], self.values), (self.regions[2], self.regions[1])):
-            rows = self.scratch[:out.shape[0], :source.shape[1]]
-            s, r = source.strides, rows.strides
-            self.blurs.append(((view(source, rows.shape + (k,), s + s[:1]), rows),
-                               (view(rows, out.shape + (k,), r + r[1:]), out)))
+
+        def flat(buf, m, n):  # an m x n C-order map at the start of buf
+            return buf.reshape(-1)[:m * n].reshape(m, n)
+
+        def axis0_pass(source, dest):
+            m, n = len(source) - 2 * half, source.shape[1]
+            return (view(source, (m, n, k), source.strides + source.strides[:1]),
+                    flat(self.scratch, m, n), dest)
+
+        for source, dest in ((self.regions[1], self.values), (self.regions[2], self.regions[1])):
+            mid = flat(self.padded, source.shape[1], len(source) - 2 * half)
+            self.blurs.append((axis0_pass(source, mid), axis0_pass(mid, dest)))
         # flat padded index of each vote from the event's first one, and the
         # first vote's upper clip per axis (x, y), in padded pixels
         self.offsets = (np.arange(4)[:, None] * (w + 2 * p) + np.arange(4))[:, :, None]
@@ -162,6 +178,18 @@ class SplatWork:
         c = min(self.step, n_events)
         self.pw, self.f, self.w, self.block = (np.empty(k * c) for k in (8, 2, 16, 16))
         self.base, self.lin = np.empty(c, dtype=np.int64), np.empty(16 * c, dtype=np.int64)
+        self.held = None  # (splat token, first event) of the chunk in lin and w
+
+    def blur(self, adjoint: bool) -> None:
+        """Blur regions[1] into values, or if adjoint regions[2] into
+        regions[1], leaving padded zero outside it for the gradient."""
+        (first, out, mid), (second, out2, dest) = self.blurs[adjoint]
+        np.matmul(first, self.taps, out=out)
+        np.copyto(mid, out.T)
+        np.matmul(second, self.taps, out=out2)
+        if adjoint:
+            self.padded.fill(0.0)
+        np.copyto(dest, out2.T)
 
 
 class SplatCache:
@@ -170,9 +198,12 @@ class SplatCache:
     Votes off the sensor land in the padding, so need no mask; an event the
     blur cannot carry onto the sensor is pinned just outside that reach. It
     writes into `work` (a fresh SplatWork when None), so `values` lasts until
-    the next splat into the same work."""
+    the next splat into the same work. The gradient reuses the taps of the
+    splat's last chunk (all of a window of up to 2,048 events) while no other
+    splat has written the work; they are keyed by `token`, not by the cache,
+    so the work keeps no dropped cache alive."""
 
-    __slots__ = ("geometry", "sigma", "positions", "values", "work")
+    __slots__ = ("geometry", "sigma", "positions", "values", "work", "token")
 
     def __init__(self, positions: np.ndarray, geometry: SensorGeometry, sigma: float,
                  work: SplatWork | None = None):
@@ -182,41 +213,47 @@ class SplatCache:
         if (work.geometry, work.sigma) != (geometry, float(sigma)):
             raise ValueError("splat workspace was built for another geometry or sigma")
         self.geometry, self.sigma, self.work = geometry, float(sigma), work
+        self.token = object()  # keys the taps this splat leaves in work
         work.padded.fill(0.0)
         for _, lin, w, _ in self._chunks():
             votes = np.multiply(w[:, 1, None, :], w[None, :, 0, :],
                                 out=work.block[:lin.size].reshape(lin.shape))
             np.add.at(work.padded.ravel(), lin.ravel(), votes.ravel())
-        for source, dest in work.blurs[0]:
-            np.einsum("ijk,k->ij", source, work.taps, out=dest)
+        work.blur(adjoint=False)
         self.values = work.values
 
-    def _chunks(self):
-        """Votes per event chunk, in a fixed order, in the work's buffers:
+    def _chunks(self, reverse: bool = False):
+        """Votes per event chunk, in a fixed order (reversed if reverse), in
+        the work's buffers, computed unless still held from this splat:
         yields (events, lin, w, dw), the chunk's event slice, the flat padded
         index of every vote (4, 4, C) (y, x, event), and per tap and axis
         (x, y) the weights w and their position derivatives dw, (4, 2, C)."""
         work = self.work
         n = len(self.positions)
-        for k in range(0, n, work.step):
+        starts = range(0, n, work.step)
+        for k in reversed(starts) if reverse else starts:
             c = slice(k, min(k + work.step, n))
             m = c.stop - k
-            # f = floor(u) + P - 1, u = position - 1/2: the first vote in padded
-            # pixels; powers 1, t, t^2, t^3 of t = u - floor(u)
-            pw = work.pw[:8 * m].reshape(4, 2, m)
-            t = np.add(self.positions[c].T, work.pad - 1.5, out=pw[1])
-            f = np.floor(t, out=work.f[:2 * m].reshape(2, m))
-            t -= f
-            pw[0] = 1.0
-            np.multiply(t, t, out=pw[2])
-            np.multiply(pw[2], t, out=pw[3])
-            np.clip(f, work.pad - work.half - 4, work.hi, out=f)
-            f[1] *= work.padded.shape[1]
-            f[1] += f[0]
-            np.copyto(work.base[:m], f[1], casting="unsafe")
-            lin = np.add(work.offsets, work.base[:m], out=work.lin[:16 * m].reshape(4, 4, m))
-            w = np.matmul(_SPLINE, pw.reshape(4, 2 * m),
-                          out=work.w[:16 * m].reshape(8, 2 * m)).reshape(8, 2, m)
+            lin = work.lin[:16 * m].reshape(4, 4, m)
+            w = work.w[:16 * m].reshape(8, 2, m)
+            if work.held != (self.token, k):
+                # f = floor(u) + P - 1, u = position - 1/2: the first vote in
+                # padded pixels; powers 1, t, t^2, t^3 of t = u - floor(u)
+                pw = work.pw[:8 * m].reshape(4, 2, m)
+                t = np.add(self.positions[c].T, work.pad - 1.5, out=pw[1])
+                f = np.floor(t, out=work.f[:2 * m].reshape(2, m))
+                t -= f
+                pw[0] = 1.0
+                np.multiply(t, t, out=pw[2])
+                np.multiply(pw[2], t, out=pw[3])
+                np.maximum(f, work.pad - work.half - 4, out=f)
+                np.minimum(f, work.hi, out=f)
+                f[1] *= work.padded.shape[1]
+                f[1] += f[0]
+                np.copyto(work.base[:m], f[1], casting="unsafe")
+                np.add(work.offsets, work.base[:m], out=lin)
+                np.matmul(_SPLINE, pw.reshape(4, 2 * m), out=work.w[:16 * m].reshape(8, 2 * m))
+                work.held = (self.token, k)
             yield c, lin, w[:4], w[4:]
 
     def position_gradient(self, coefficients: np.ndarray, out: np.ndarray | None = None
@@ -230,11 +267,10 @@ class SplatCache:
         # the blur is symmetric, so its adjoint blurs the zero-padded grid
         work.padded.fill(0.0)
         work.regions[0][...] = coef
-        for source, dest in work.blurs[1]:
-            np.einsum("ijk,k->ij", source, work.taps, out=dest)
+        work.blur(adjoint=True)
         if out is None:  # einsum is slow into strided out=, so it is (2, N)
             out = np.empty((2, len(self.positions)))
-        for c, lin, w, dw in self._chunks():
+        for c, lin, w, dw in self._chunks(reverse=True):
             # blurred coefficient at each vote; mode="wrap" (indices are in
             # range) lets take write into out= without buffering
             patch = np.take(work.padded.ravel(), lin, mode="wrap",

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -354,6 +356,107 @@ class TestVarianceGradients:
             assert into.tobytes() == fresh.position_gradient(coef).tobytes()
         with pytest.raises(ValueError, match="another geometry or sigma"):
             contrast.SplatCache(pos, G16, 2.0, work)
+
+
+def _separable(grid, taps, mode):
+    """grid convolved with taps along axis 0, then along axis 1, by np.convolve."""
+    cols = np.stack([np.convolve(col, taps, mode) for col in grid.T], axis=1)
+    return np.stack([np.convolve(row, taps, mode) for row in cols])
+
+
+class TestBlur:
+    """SplatWork.blur against a direct separable np.convolve, on square,
+    non-square and one-pixel sensors (the passes' transposed intermediate
+    has the other orientation from the map it came from)."""
+
+    SHAPES = [(1, 1), (7, 13), (13, 7), (96, 64)]  # (width, height)
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("size", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_separable_convolution(self, size, sigma):
+        g = SensorGeometry(*size)
+        work = contrast.SplatWork(g, sigma, 1)
+        rng = np.random.default_rng(5)
+        votes = rng.normal(size=work.regions[1].shape)
+        coef = rng.normal(size=g.shape)
+        # the splat: votes within half of the sensor, blurred onto the sensor
+        work.padded.fill(0.0)
+        work.regions[1][...] = votes
+        work.blur(adjoint=False)
+        want = _separable(votes, work.taps, "valid")
+        assert work.values.shape == want.shape == g.shape
+        assert np.max(np.abs(work.values - want)) <= 1e-14 * np.max(np.abs(want))
+        forward = work.values.copy()
+        # the adjoint: the zero-padded grid blurred out to half of the sensor,
+        # and zero beyond it, where the gradient also gathers
+        work.padded.fill(np.nan)
+        work.regions[2][...] = 0.0
+        work.regions[0][...] = coef
+        work.blur(adjoint=True)
+        want = _separable(coef, work.taps, "full")
+        assert np.max(np.abs(work.regions[1] - want)) <= 1e-14 * np.max(np.abs(want))
+        outside = np.ones(work.padded.shape, dtype=bool)
+        outside[work.pad - work.half:work.pad + g.height + work.half,
+                work.pad - work.half:work.pad + g.width + work.half] = False
+        assert not np.any(work.padded[outside])
+        # <B v, c> = <v, B^T c>
+        lhs, rhs = np.vdot(forward, coef), np.vdot(votes, work.regions[1])
+        assert abs(lhs - rhs) <= 1e-14 * np.sum(np.abs(votes)) * np.max(np.abs(work.regions[1]))
+
+
+class TestHeldTaps:
+    """A splat leaves its last chunk's vote indices and weights in the work;
+    the gradient of the same splat reuses them and recomputes any other chunk."""
+
+    STEP = contrast._CHUNK_TAPS // 16
+
+    @staticmethod
+    def _positions(n, seed):
+        return np.random.default_rng(seed).uniform(-3.0, 19.0, (n, 2))
+
+    @pytest.mark.parametrize("n", [1, STEP, STEP + 1, 3 * STEP])
+    def test_gradient_after_another_splat_into_the_work(self, n):
+        coef = np.random.default_rng(1).normal(size=G16.shape)
+        pos = self._positions(n, 2)
+        work = contrast.SplatWork(G16, 1.0, n)
+        first = contrast.SplatCache(pos, G16, 1.0, work)
+        grad = first.position_gradient(coef).copy()
+        assert first.position_gradient(coef).tobytes() == grad.tobytes()
+        # a second splat overwrites the work's taps; the first cache's
+        # gradient recomputes them
+        second = contrast.SplatCache(self._positions(n, 3), G16, 1.0, work)
+        fresh = contrast.SplatCache(pos, G16, 1.0).position_gradient(coef)
+        assert first.position_gradient(coef).tobytes() == fresh.tobytes() == grad.tobytes()
+        assert second.position_gradient(coef).tobytes() == (
+            contrast.SplatCache(self._positions(n, 3), G16, 1.0).position_gradient(coef)
+            .tobytes())
+
+    @pytest.mark.parametrize("n", [1, STEP, STEP + 1, 3 * STEP])
+    def test_only_the_last_chunk_is_held(self, n):
+        # positions changed after the splat reach the gradient only through
+        # the chunks it recomputes: all but the last
+        coef = np.random.default_rng(1).normal(size=G16.shape)
+        pos = self._positions(n, 2)
+        cache = contrast.SplatCache(pos, G16, 1.0)
+        want = contrast.SplatCache(pos, G16, 1.0).position_gradient(coef)
+        pos += 0.25
+        got = cache.position_gradient(coef)
+        last = (n - 1) // self.STEP * self.STEP
+        assert got[last:].tobytes() == want[last:].tobytes()
+        assert not np.any(got[:last] == want[:last])
+
+    def test_a_dropped_cache_is_freed_without_collection(self):
+        work = contrast.SplatWork(G16, 1.0, 50)
+        gc.disable()
+        try:
+            cache = contrast.SplatCache(self._positions(50, 2), G16, 1.0, work)
+            cache.position_gradient(np.ones(G16.shape))
+            # the cache alone holds its positions view
+            alive = weakref.ref(cache.positions)
+            del cache
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def test_alignment_raises_smooth_variance_on_synthetic_edge():

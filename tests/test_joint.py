@@ -724,6 +724,26 @@ def test_descent_steps_fault_in_few_pages(monkeypatch):
 
 
 
+def test_evaluation_allocates_no_map_sized_arrays():
+    # One joint evaluation with gradients on a ~900-event 256 x 256 window,
+    # into a workspace that has evaluated once: the traced peak stays below
+    # half of one 512 KB map, so neither the splat nor its blurs nor the map
+    # arithmetic allocates a map. numpy's ~128 KB ufunc buffer fits under it.
+    window = TestWorkspaceReuse._window(900, width=256, height=256)
+    cfg = JointConfig()
+    ws = joint._Workspace(window, cfg.sigma)
+    args = (window, MotionParams.translation(3.0, -2.0), np.full((256, 256), 0.5), cfg,
+            _resolve_alpha(cfg), 0.5, 0.0, True, ws)
+    _evaluate(*args)
+    tracemalloc.start()
+    try:
+        _evaluate(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, f"{peak >> 10} KB traced peak"
+
+
 def test_descent_steps_allocate_no_per_event_arrays(monkeypatch):
     # The warped positions and their gradient, (N, 2) each, live in the
     # workspace: over steps 5-25 of a translation descent on 17,000 events the
