@@ -99,7 +99,7 @@ def _cmax(window: EventWindow, model: str, cfg: JointConfig,
         return MotionParams.zero(model), {}
     ws = _Workspace(window, cfg.sigma)
     start = _guarded_start(window, model, cfg, theta, ws)
-    end, _, trace, _ = _descend(window, model, cfg, cfg.iterations, 0.0, theta=start, ws=ws)
+    end, _, trace, _, _ = _descend(window, model, cfg, cfg.iterations, 0.0, theta=start, ws=ws)
     return end, {"warm_iterations": len(trace), "seeded": start is not None,
                  "stop_reason": "settled" if len(trace) < cfg.iterations else "cap"}
 

@@ -169,8 +169,11 @@ def _solve_windows(args: argparse.Namespace, method):
                                       "worst_regret": p.worst_regret, "total": p.total}))
             steps = ""
             if res.stop_reason is not None:  # a solver ran: its steps and where it began
+                # the warm start's own stop; none shown when an explicit b_ea skipped it
+                warm = (" (cap, resumed)" if res.resumed else
+                        " (settled)" if res.warm_iterations else "")
                 counts = (f"{res.warm_iterations} cmax steps" if res.final is None else
-                          f"{res.warm_iterations} warm + {len(res.trace)} joint steps")
+                          f"{res.warm_iterations} warm{warm} + {len(res.trace)} joint steps")
                 origin = f"window {i - 1}" if res.seeded else "zero"
                 steps = f", {counts} ({res.stop_reason}), from {origin}"
             logger.info("window %d: %d/%d kept, theta=%s%s", i, int(res.labels.sum()),

@@ -116,9 +116,11 @@ class JointResult:
     """Motion, confidence map, each event's confidence (the map's weights
     sampled bilinearly at the event warped by theta) and labels; the solver's
     record (the joint phase's per-step trace, why it stopped, "settled" or
-    "cap", the warm start's step count and whether the first descent began
-    at the caller's `start`) defaults to an empty trace, no stop reason and
-    NaN baselines for results no objective produced."""
+    "cap", the warm start's step count, whether the first descent began
+    at the caller's `start`, and whether the joint phase resumed the warm
+    start's Adam state, which it does exactly when the warm start stopped at
+    its cap) defaults to an empty trace, no stop reason and NaN baselines
+    for results no objective produced."""
 
     theta: MotionParams
     conf: ConfidenceMap
@@ -132,6 +134,7 @@ class JointResult:
     stop_reason: str | None = None
     warm_iterations: int = 0
     seeded: bool = False
+    resumed: bool = False
 
 
 @dataclass(frozen=True)
@@ -326,7 +329,8 @@ def _guarded_start(window: EventWindow, model: str, cfg: JointConfig,
 
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
              logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
-             theta: MotionParams | None = None, ws: _Workspace | None = None):
+             theta: MotionParams | None = None, ws: _Workspace | None = None,
+             state: AdamState | None = None):
     """Full-batch Adam descent on the objective from theta (zero motion if
     None), for at most `iterations` steps.
 
@@ -340,8 +344,12 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     the objective nor the gradients. Each evaluation runs in ws (built here
     when None) and each step updates copies of phi and logits in place. At
     the cap the end point is evaluated once more without gradients; either
-    way its weights are left in ws.wts. Returns (theta, logits, trace of the
-    stepped points' parts, end point's parts); NonFiniteObjective if any
+    way its weights are left in ws.wts. phi's Adam moments and step count
+    start from `state` (zeros when None), which the descent updates in place,
+    so a descent that resumes another's carries on its bias correction.
+    Returns (theta, logits, trace of the stepped points' parts, end point's
+    parts, phi's Adam state if the descent stopped at the cap, else None: a
+    settled descent has no motion left to hand on); NonFiniteObjective if any
     evaluation's total is not finite.
     """
     span = (window.t_end - window.t_start) or 1.0  # EventWindow keeps t_end >= t_start
@@ -352,7 +360,7 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
         wts_then = np.empty_like(logits)
     if ws is None:
         ws = _Workspace(window, cfg.sigma)
-    state_phi = AdamState.zeros_like(phi)
+    state_phi = AdamState.zeros_like(phi) if state is None else state
     state_log = None if logits is None else AdamState.zeros_like(logits)
     trace: list[ObjectiveParts] = []
     for it in range(iterations + 1):
@@ -362,13 +370,13 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         if it == iterations:
-            return theta, logits, trace, parts
+            return theta, logits, trace, parts, state_phi
         if it % STOP_EVERY == 0:
             if it and np.abs(phi - phi_then).max() <= STOP_EVERY * STOP_PX and (
                     wts_then is None
                     or np.abs(np.subtract(ws.wts, wts_then, out=ws.tmp), out=ws.tmp).max()
                     <= STOP_WEIGHT):
-                return theta, logits, trace, parts
+                return theta, logits, trace, parts, None
             phi_then[:] = phi
             if wts_then is not None:
                 wts_then[...] = ws.wts
@@ -386,8 +394,12 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     in one workspace; each stops once it settles, the joint phase after at
     most cfg.iterations steps. With a warm-started alignment baseline, an
     alignment-only phase of at most half the iteration budget runs first and
-    b_ea is kappa times f_ea at its end point; the joint phase then restarts
-    from the warm-started motion. A `start` (say, the previous window's
+    b_ea is kappa times f_ea at its end point; the joint phase then starts
+    from the warm-started motion. If the warm start stopped at its cap it was
+    still moving, and the joint phase resumes its motion's Adam moments and
+    step count (`resumed`); if it settled, the joint phase starts from zero
+    moments, since a settled descent's small second moment would inflate the
+    first joint steps. A `start` (say, the previous window's
     motion) is guarded: the alignment variance f_ea is evaluated at zero
     motion and at start, without gradients, and the first phase begins at
     start only if its f_ea is strictly larger (`seeded` records which). A
@@ -415,19 +427,20 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     ws = _Workspace(window, cfg.sigma)
     b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
     theta = seed = _guarded_start(window, model, cfg, start, ws)
-    warm = []
+    warm, state = [], None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, _, warm, end = _descend(window, model, cfg, cfg.iterations // 2, 0.0,
-                                       theta=theta, ws=ws)
+        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0,
+                                              theta=theta, ws=ws)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
-    theta, logits, trace, final = _descend(
+    theta, logits, trace, final, _ = _descend(
         window, model, cfg, cfg.iterations, b_ea, np.zeros(window.geometry.shape), alpha, b_ed,
-        theta, ws)
+        theta, ws, state)
     confidence = interpolate_confidence(
         ws.wts, warp_positions(ws.positions, ws.dt, theta, ws.center, ws.warped))
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
                        trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
                        stop_reason="settled" if len(trace) < cfg.iterations else "cap",
-                       warm_iterations=len(warm), seeded=seed is not None)
+                       warm_iterations=len(warm), seeded=seed is not None,
+                       resumed=state is not None)

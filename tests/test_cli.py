@@ -311,7 +311,8 @@ class TestPipeline:
         assert rec["theta"] == [0.0, 0.0] and rec["iterations"] == 0
         assert side["confidence"] == [[0.5] * rec["counts"]["events"]]
         assert read_events(out).labels.all()
-        assert "theta=[0.0, 0.0], 0 warm + 0 joint steps (cap)" in caplog.text
+        # the warm start stops at its cap of 0 and hands on Adam moments that are all zero
+        assert "theta=[0.0, 0.0], 0 warm (cap, resumed) + 0 joint steps (cap)" in caplog.text
 
     def test_stop_reason_logged_not_recorded(self, synth_file, tmp_path, caplog):
         out = tmp_path / "out.evj"
@@ -321,10 +322,23 @@ class TestPipeline:
         records = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("window")]
         assert len(lines) == len(records) == 3
+        warm_stops = []
         for i, (line, rec) in enumerate(zip(lines, records)):
-            assert re.search(rf", \d+ warm \+ {rec['iterations']} joint steps "
-                             rf"\((settled|cap)\), from (zero|window {i - 1})$", line), line
-            assert not {"stop_reason", "warm_iterations", "seeded"} & set(rec)
+            found = re.search(rf", (\d+) warm \((cap, resumed|settled)\) \+ {rec['iterations']} "
+                              rf"joint steps \((settled|cap)\), from (zero|window {i - 1})$", line)
+            assert found, line
+            # the joint phase resumes exactly when the warm start ran to its cap
+            assert (found[1] == "150") == (found[2] == "cap, resumed")
+            warm_stops.append(found[2])
+            assert not {"stop_reason", "warm_iterations", "seeded", "resumed"} & set(rec)
+        assert set(warm_stops) == {"cap, resumed", "settled"}
+
+    def test_explicit_baseline_logs_no_warm_stop(self, synth_file, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="evjoint"):
+            assert run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "out.evj"),
+                       "--b-ea", "1.0", "--iters", "20") == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("window")]
+        assert re.search(r", 0 warm \+ \d+ joint steps \((settled|cap)\), from zero$", line), line
 
     def test_json_log_traces(self, synth_file, tmp_path, capsys):
         out = tmp_path / "out.evj"

@@ -26,7 +26,7 @@ from evjoint.joint import (
     objective_gradients,
     solve,
 )
-from evjoint.synth import Dot, SceneSpec, generate
+from evjoint.synth import Dot, MultiEdge, SceneSpec, generate
 from evjoint.warp import MotionParams, warp
 
 from conftest import random_window
@@ -578,6 +578,77 @@ class TestStart:
         assert np.linalg.norm(ea_only.theta.values - seeded.values) < 1e-9
 
 
+class TestHandover:
+    """A warm start that stops at its cap hands phi's Adam moments and step
+    count to the joint phase; one that settles hands on nothing, and the
+    joint phase starts from zero moments."""
+
+    @staticmethod
+    def _chain(window, cfg, resume, start=None):
+        """solve's two descents called by hand; the second resumes the first's
+        Adam state when resume is set, else restarts from zero moments."""
+        model = "translation2d"
+        ws = joint._Workspace(window, cfg.sigma)
+        b_ed = joint._denoise_baseline(window, cfg.sigma, ws.splat)
+        theta = joint._guarded_start(window, model, cfg, start, ws)
+        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0,
+                                              theta=theta, ws=ws)
+        theta, logits, trace, final, _ = _descend(
+            window, model, cfg, cfg.iterations, cfg.b_ea.kappa * end.f_ea,
+            np.zeros(window.geometry.shape), _resolve_alpha(cfg), b_ed, theta, ws,
+            state if resume else None)
+        return theta, logits, warm, trace + [final], state
+
+    @staticmethod
+    def _same(res, chain):
+        theta, logits, warm, parts, _ = chain
+        return (res.theta.values.tobytes() == theta.values.tobytes()
+                and res.conf.logits.tobytes() == logits.tobytes()
+                and res.warm_iterations == len(warm)
+                and _parts_bytes(res.trace + [res.final]) == _parts_bytes(parts))
+
+    def test_capped_warm_start_is_resumed(self):
+        spec = SceneSpec(SensorGeometry(32, 32), Dot((12.0, 16.0), 4.0),
+                         MotionParams.translation(30.0, 10.0), 0.15)
+        window, cfg = generate(spec, seed=0)[0], JointConfig(iterations=40)
+        res = solve(window, cfg)
+        resumed = self._chain(window, cfg, resume=True)
+        assert res.resumed and res.warm_iterations == 20
+        assert resumed[4].step == 20
+        assert self._same(res, resumed)
+        assert not self._same(res, self._chain(window, cfg, resume=False))
+
+    def test_settled_warm_start_hands_on_nothing(self):
+        window, cfg = TestStart._window(), JointConfig()
+        start = MotionParams.translation(-39.0, -24.0)
+        res = solve(window, cfg, start=start)
+        restarted = self._chain(window, cfg, resume=False, start=start)
+        assert res.seeded and not res.resumed and res.warm_iterations < cfg.iterations // 2
+        assert restarted[4] is None
+        assert self._same(res, restarted)
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_no_warm_step_hands_on_zero_moments(self, iterations):
+        window, cfg = TestStart._window(), JointConfig(iterations=iterations)
+        res = solve(window, cfg)
+        restarted = self._chain(window, cfg, resume=False)
+        state = restarted[4]
+        assert res.resumed and state.step == 0
+        assert not state.m.any() and not state.v.any()
+        assert self._same(res, restarted)
+
+    def test_criterion_2_scene_takes_fewer_steps(self):
+        # with the restarted joint phase: 150 + 300 steps (452 evaluations)
+        spec = SceneSpec(SensorGeometry(64, 64), MultiEdge(6.5),
+                         MotionParams.translation(30.0, -10.0), 0.1)
+        window, _, truth = generate(spec, seed=1)
+        res = solve(window, JointConfig())
+        assert res.resumed
+        assert res.warm_iterations + len(res.trace) <= 300
+        err = np.linalg.norm(res.theta.values - truth.values) / np.linalg.norm(truth.values)
+        assert err <= 0.01
+
+
 class TestInterpolation:
     def test_center_sampling_exact(self):
         wts = np.zeros((4, 4))
@@ -611,11 +682,11 @@ class TestWorkspaceReuse:
     def _descend_both(self, monkeypatch, window, b_ea, b_ed, logits, model="translation2d"):
         cfg = JointConfig()
         args = (window, model, cfg, self.ITERS, b_ea, logits, _resolve_alpha(cfg), b_ed)
-        theta, out_logits, trace, end = _descend(*args)
+        theta, out_logits, trace, end, _ = _descend(*args)
         fresh = joint._evaluate
         with monkeypatch.context() as mp:
             mp.setattr(joint, "_evaluate", lambda *a, ws=None, **k: fresh(*a, **k))
-            ref_theta, ref_logits, ref_trace, ref_end = _descend(*args)
+            ref_theta, ref_logits, ref_trace, ref_end, _ = _descend(*args)
         assert theta.values.tobytes() == ref_theta.values.tobytes()
         if logits is None:
             assert out_logits is None and ref_logits is None
@@ -689,9 +760,9 @@ def test_descend_end_is_evaluate_at_returned_point(model, joint_mode):
     cfg = JointConfig()
     alpha, b_ed = _resolve_alpha(cfg), joint._denoise_baseline(window, cfg.sigma)
     logits = np.zeros((20, 24)) if joint_mode else None
-    start, _, _, _ = _descend(window, model, cfg, 5, 0.0)
-    theta, out_logits, trace, end = _descend(window, model, cfg, 7, 0.5, logits, alpha, b_ed,
-                                             start)
+    start, _, _, _, _ = _descend(window, model, cfg, 5, 0.0)
+    theta, out_logits, trace, end, _ = _descend(window, model, cfg, 7, 0.5, logits, alpha,
+                                                b_ed, start)
     assert len(trace) == 7 and theta.model == model
     assert (out_logits is None) == (not joint_mode)
     want, _, _ = _evaluate(window, theta, out_logits, cfg, alpha, 0.5, b_ed, want_grads=False)
