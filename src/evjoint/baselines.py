@@ -9,8 +9,8 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _guarded_start,
-                    _Workspace, interpolate_confidence)
+from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _denoise_baseline, _descend,
+                    _guarded_start, _Workspace, interpolate_confidence)
 from .warp import MotionParams, warp
 
 # baf_filter's work, (2r + 1)^2 neighbour offsets times (n events plus a fixed
@@ -98,9 +98,11 @@ def _cmax(window: EventWindow, model: str, cfg: JointConfig,
     if len(window) < DEGENERATE_MIN_EVENTS:
         return MotionParams.zero(model), {}
     ws = _Workspace(window, cfg.sigma)
-    start = _guarded_start(window, model, cfg, theta, ws)
-    end, _, trace, _, _ = _descend(window, model, cfg, cfg.iterations, 0.0, theta=start, ws=ws)
-    return end, {"warm_iterations": len(trace), "seeded": start is not None,
+    if theta is not None:
+        theta = _guarded_start(window, model, cfg, theta,
+                               _denoise_baseline(window, cfg.sigma, ws.splat), ws)
+    end, _, trace, _, _ = _descend(window, model, cfg, cfg.iterations, 0.0, ws, theta=theta)
+    return end, {"warm_iterations": len(trace), "seeded": theta is not None,
                  "stop_reason": "settled" if len(trace) < cfg.iterations else "cap"}
 
 

@@ -286,6 +286,8 @@ def _read_trajectory(path) -> list[tuple[float, np.ndarray]]:
                 raise CliError(f"{path}: line {lineno}: unparseable trajectory row") from None
             if len(vals) < 2:
                 raise CliError(f"{path}: line {lineno}: need time plus parameters")
+            if not np.isfinite(vals).all():
+                raise CliError(f"{path}: line {lineno}: non-finite trajectory value")
             rows.append((vals[0], np.asarray(vals[1:])))
     if not rows:
         raise CliError(f"{path}: empty trajectory")
@@ -427,8 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="accumulate events into an image")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--theta", default=None, help="warp with this translation vx,vy before rendering")
-    p.add_argument("--omega", type=float, default=None, help="warp with this in-plane rotation rad/s")
+    motion = p.add_mutually_exclusive_group()
+    motion.add_argument("--theta", default=None,
+                        help="warp with this translation vx,vy before rendering")
+    motion.add_argument("--omega", type=float, default=None,
+                        help="warp with this in-plane rotation rad/s")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--hard", action="store_true", help="per-pixel counts instead of smooth mass")
     p.add_argument("--geometry", default=None)

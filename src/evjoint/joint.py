@@ -215,8 +215,8 @@ class _Workspace:
     (within contrast.WORKSPACE_LIMIT_BYTES), seven H x W maps, the theta-free
     warp inputs (positions, time offsets, rotation center) and the warped
     positions and their gradient: 56 bytes per event. `solve` builds one per
-    non-degenerate window and splats b_ed into it too (`_descend` builds one
-    per call when given none); it is dropped with that call."""
+    non-degenerate window and splats b_ed into it too; it is dropped with
+    that call."""
 
     def __init__(self, window: EventWindow, sigma: float):
         self.splat = SplatWork(window.geometry, sigma, len(window))
@@ -312,24 +312,22 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
     return dtheta, dlogits
 
 
-def _guarded_start(window: EventWindow, model: str, cfg: JointConfig,
-                   start: MotionParams | None, ws: _Workspace) -> MotionParams | None:
-    """start if its alignment variance f_ea is strictly above zero motion's,
-    else None (descend from zero motion). Two evaluations in ws, without
-    gradients; none when start is None."""
+def _guarded_start(window: EventWindow, model: str, cfg: JointConfig, start: MotionParams | None,
+                   b_ed: float, ws: _Workspace) -> MotionParams | None:
+    """start if its alignment variance f_ea is strictly above the window's
+    b_ed, which is f_ea at zero motion, else None (descend from zero motion).
+    One evaluation in ws, without gradients; none when start is None."""
     if start is None:
         return None
     if start.model != model:
         raise ValueError(f"start is a {start.model} motion, the solve's model is {model}")
-    f_zero, f_start = (
-        _evaluate(window, theta, None, cfg, math.nan, 0.0, math.nan, False, ws)[0].f_ea
-        for theta in (MotionParams.zero(model), start))
-    return start if f_start > f_zero else None
+    f_start = _evaluate(window, start, None, cfg, math.nan, 0.0, math.nan, False, ws)[0].f_ea
+    return start if f_start > b_ed else None
 
 
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
-             logits: np.ndarray | None = None, alpha: float = math.nan, b_ed: float = math.nan,
-             theta: MotionParams | None = None, ws: _Workspace | None = None,
+             ws: _Workspace, logits: np.ndarray | None = None, alpha: float = math.nan,
+             b_ed: float = math.nan, theta: MotionParams | None = None,
              state: AdamState | None = None):
     """Full-batch Adam descent on the objective from theta (zero motion if
     None), for at most `iterations` steps.
@@ -341,12 +339,13 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     STOP_EVERY steps the point just evaluated is compared with the previous
     check's: once phi moved at most STOP_EVERY * STOP_PX px per axis and no
     weight more than STOP_WEIGHT, it is the end point. The rule reads neither
-    the objective nor the gradients. Each evaluation runs in ws (built here
-    when None) and each step updates copies of phi and logits in place. At
-    the cap the end point is evaluated once more without gradients; either
-    way its weights are left in ws.wts. phi's Adam moments and step count
-    start from `state` (zeros when None), which the descent updates in place,
-    so a descent that resumes another's carries on its bias correction.
+    the objective nor the gradients. Each evaluation runs in ws and each step
+    updates copies of phi and logits in place. At the cap the end point is
+    evaluated once more without gradients; either way its warped positions
+    and weights are left in ws.warped and ws.wts. phi's Adam moments and
+    step count start from `state` (zeros when None), which the descent
+    updates in place, so a descent that resumes another's carries on its
+    bias correction.
     Returns (theta, logits, trace of the stepped points' parts, end point's
     parts, phi's Adam state if the descent stopped at the cap, else None: a
     settled descent has no motion left to hand on); NonFiniteObjective if any
@@ -358,8 +357,6 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     if logits is not None:
         logits = np.array(logits, dtype=np.float64)
         wts_then = np.empty_like(logits)
-    if ws is None:
-        ws = _Workspace(window, cfg.sigma)
     state_phi = AdamState.zeros_like(phi) if state is None else state
     state_log = None if logits is None else AdamState.zeros_like(logits)
     trace: list[ObjectiveParts] = []
@@ -400,17 +397,17 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     step count (`resumed`); if it settled, the joint phase starts from zero
     moments, since a settled descent's small second moment would inflate the
     first joint steps. A `start` (say, the previous window's
-    motion) is guarded: the alignment variance f_ea is evaluated at zero
-    motion and at start, without gradients, and the first phase begins at
-    start only if its f_ea is strictly larger (`seeded` records which). A
-    seed that no longer fits, as after the motion reverses, thus costs two
-    evaluations and changes nothing; without start the solve is the
-    unseeded one, bit for bit. Each event's confidence is the bilinear
-    sample of the final weights, which the joint phase's end evaluation
-    leaves in the workspace, at its warped position; it is signal when that
-    reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets
-    zero motion, an all-noise map, confidence 0 and NaN b_ed, and allocates
-    no maps.
+    motion) is guarded: the alignment variance f_ea is evaluated at start,
+    without gradients, and the first phase begins at start only if its f_ea
+    is strictly larger than b_ed, the unwarped map's variance and so f_ea at
+    zero motion (`seeded` records which). A seed that no longer fits, as
+    after the motion reverses, thus costs one evaluation and changes
+    nothing; without start the solve is the unseeded one, bit for bit. Each
+    event's confidence is the bilinear sample of the final weights at its
+    warped position, both of which the joint phase's end evaluation leaves
+    in the workspace; it is signal when that reaches tau. A window of fewer
+    than DEGENERATE_MIN_EVENTS events gets zero motion, an all-noise map,
+    confidence 0 and NaN b_ed, and allocates no maps.
     Deterministic: the solver is full-batch.
     """
     alpha = _resolve_alpha(cfg)
@@ -426,19 +423,18 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
 
     ws = _Workspace(window, cfg.sigma)
     b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
-    theta = seed = _guarded_start(window, model, cfg, start, ws)
+    theta = seed = _guarded_start(window, model, cfg, start, b_ed, ws)
     warm, state = [], None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0,
-                                              theta=theta, ws=ws)
+        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
+                                              theta=theta)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
     theta, logits, trace, final, _ = _descend(
-        window, model, cfg, cfg.iterations, b_ea, np.zeros(window.geometry.shape), alpha, b_ed,
-        theta, ws, state)
-    confidence = interpolate_confidence(
-        ws.wts, warp_positions(ws.positions, ws.dt, theta, ws.center, ws.warped))
+        window, model, cfg, cfg.iterations, b_ea, ws, np.zeros(window.geometry.shape), alpha,
+        b_ed, theta, state)
+    confidence = interpolate_confidence(ws.wts, ws.warped)
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
                        trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
                        stop_reason="settled" if len(trace) < cfg.iterations else "cap",

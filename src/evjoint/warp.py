@@ -72,12 +72,19 @@ def _rotation_center(window: EventWindow) -> np.ndarray:
     return np.array([(g.width - 1) / 2.0, (g.height - 1) / 2.0])
 
 
+def _relative(positions: np.ndarray, center: np.ndarray | None) -> np.ndarray:
+    """positions relative to the rotation center; ValueError if there is none."""
+    if center is None:
+        raise ValueError("a rotation_inplane warp needs the rotation center; got center=None")
+    return positions - center[None, :]
+
+
 def warp_positions(
     positions: np.ndarray, dt: np.ndarray, theta: MotionParams, center: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply the motion model to explicit positions and time offsets dt = t - t_ref,
-    writing the (N, 2) result into out when given."""
+    writing the (N, 2) result into out when given. A rotation needs center."""
     positions = np.asarray(positions, dtype=np.float64)
     dt = np.asarray(dt, dtype=np.float64)
     if out is None:
@@ -86,10 +93,9 @@ def warp_positions(
         return np.add(positions, np.multiply(dt[:, None], theta.values[None, :], out=out),
                       out=out)
     # in-plane rotation about the image center
-    assert center is not None
+    rel = _relative(positions, center)
     ang = theta.values[0] * dt
     c, s = np.cos(ang), np.sin(ang)
-    rel = positions - center[None, :]
     out[:, 0] = center[0] + c * rel[:, 0] - s * rel[:, 1]
     out[:, 1] = center[1] + s * rel[:, 0] + c * rel[:, 1]
     return out
@@ -112,8 +118,8 @@ def warp_pullback(dpos: np.ndarray, positions: np.ndarray, dt: np.ndarray, theta
     if theta.model == TRANSLATION_2D:
         return dt @ dpos
     # with r = x - center: dx'/domega = dt (-sin r_x - cos r_y, cos r_x - sin r_y)
+    rel = _relative(positions, center)
     ang = theta.values[0] * dt
-    rel = positions - center[None, :]
     cross = dpos[:, 1] * rel[:, 0] - dpos[:, 0] * rel[:, 1]
     dot = dpos[:, 0] * rel[:, 0] + dpos[:, 1] * rel[:, 1]
     return np.array([(dt * np.cos(ang)) @ cross - (dt * np.sin(ang)) @ dot])

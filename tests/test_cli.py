@@ -230,6 +230,20 @@ class TestPipeline:
         report = json.loads(capsys.readouterr().out)
         assert report["rmse"] < 3.0
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("which", ["est", "gt"])
+    def test_non_finite_trajectory_exits_two(self, tmp_path, capsys, value, which):
+        # a NaN would otherwise reach the report as "rmse": NaN, which is not JSON
+        paths = {name: tmp_path / f"{name}.csv" for name in ("est", "gt")}
+        for name, path in paths.items():
+            bad = value if name == which else "1.0"
+            path.write_text(f"t,vx,vy\n0.0,1.0,2.0\n0.1,{bad},2.0\n")
+        assert run("eval", "--rmse", str(paths["est"]), "--gt", str(paths["gt"])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"evjoint: error: {paths[which]}: line 3: non-finite trajectory value"]
+
     def test_windowed_denoise(self, tmp_path):
         src = tmp_path / "long.evj"
         assert run("synth", "--pattern", "dot", "--center", "20,32", "--radius", "6",
@@ -454,6 +468,14 @@ class TestRender:
         raw_px = np.frombuffer(raw.read_bytes()[header:], dtype=np.uint8)
         ali_px = np.frombuffer(aligned.read_bytes()[header:], dtype=np.uint8)
         assert (ali_px == 0).sum() > (raw_px == 0).sum()
+
+    def test_theta_and_omega_are_exclusive(self, synth_file, tmp_path, capsys):
+        # with both given, the image used omega alone while the sidecar recorded both
+        out = tmp_path / "map.pgm"
+        assert run("render", "-i", str(synth_file), "-o", str(out), "--theta=-30,-12",
+                   "--omega", "0.5") == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hard_map_render(self, synth_file, tmp_path):
         out = tmp_path / "hard.pgm"

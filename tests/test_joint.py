@@ -577,6 +577,44 @@ class TestStart:
         assert ea_only.seeded
         assert np.linalg.norm(ea_only.theta.values - seeded.values) < 1e-9
 
+    @pytest.mark.parametrize("model, off_sensor, exact", [
+        ("translation2d", 0, True), ("translation2d", 40, True),
+        ("rotation_inplane", 0, True), ("rotation_inplane", 40, False)])
+    def test_denoise_baseline_is_f_ea_at_zero_motion(self, model, off_sensor, exact):
+        # the guard compares the seed's f_ea with b_ed in place of zero
+        # motion's f_ea. A zero translation adds +-0 to each position, so the
+        # two agree bit for bit; a zero rotation re-centres each position,
+        # center + (x - center), which rounds for events far off the sensor
+        cfg = JointConfig()
+        windows = [self._window(), random_window(np.random.default_rng(4)),
+                   TestWorkspaceReuse._window(150, off_sensor=off_sensor)]
+        for window in windows:
+            zero = _evaluate(window, MotionParams.zero(model), None, cfg, math.nan, 0.0,
+                             math.nan, want_grads=False)[0]
+            b_ed = joint._denoise_baseline(window, cfg.sigma)
+            assert zero.f_ea == (b_ed if exact else pytest.approx(b_ed, rel=1e-15, abs=0))
+
+    @pytest.mark.parametrize("start, seeded", [((-39.0, -24.0), True), ((40.0, 25.0), False)])
+    def test_guard_makes_one_evaluation(self, monkeypatch, start, seeded):
+        # a seeded solve evaluates f_ea at the seed alone, without gradients;
+        # with no descent steps the rest is one end evaluation per phase
+        window, cfg = self._window(), JointConfig(iterations=0)
+        calls = []
+        real = joint._evaluate
+
+        def counted(window, theta, *args, **kwargs):
+            calls.append(theta.values.tobytes())
+            return real(window, theta, *args, **kwargs)
+
+        monkeypatch.setattr(joint, "_evaluate", counted)
+        solve(window, cfg)
+        unseeded = len(calls)
+        calls.clear()
+        start = MotionParams.translation(*start)
+        assert solve(window, cfg, start=start).seeded == seeded
+        assert len(calls) == unseeded + 1 == 3
+        assert calls[0] == start.values.tobytes()
+
 
 class TestHandover:
     """A warm start that stops at its cap hands phi's Adam moments and step
@@ -590,12 +628,12 @@ class TestHandover:
         model = "translation2d"
         ws = joint._Workspace(window, cfg.sigma)
         b_ed = joint._denoise_baseline(window, cfg.sigma, ws.splat)
-        theta = joint._guarded_start(window, model, cfg, start, ws)
-        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0,
-                                              theta=theta, ws=ws)
+        theta = joint._guarded_start(window, model, cfg, start, b_ed, ws)
+        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
+                                              theta=theta)
         theta, logits, trace, final, _ = _descend(
-            window, model, cfg, cfg.iterations, cfg.b_ea.kappa * end.f_ea,
-            np.zeros(window.geometry.shape), _resolve_alpha(cfg), b_ed, theta, ws,
+            window, model, cfg, cfg.iterations, cfg.b_ea.kappa * end.f_ea, ws,
+            np.zeros(window.geometry.shape), _resolve_alpha(cfg), b_ed, theta,
             state if resume else None)
         return theta, logits, warm, trace + [final], state
 
@@ -681,12 +719,17 @@ class TestWorkspaceReuse:
 
     def _descend_both(self, monkeypatch, window, b_ea, b_ed, logits, model="translation2d"):
         cfg = JointConfig()
-        args = (window, model, cfg, self.ITERS, b_ea, logits, _resolve_alpha(cfg), b_ed)
-        theta, out_logits, trace, end, _ = _descend(*args)
+
+        def descend():
+            return _descend(window, model, cfg, self.ITERS, b_ea,
+                            joint._Workspace(window, cfg.sigma), logits, _resolve_alpha(cfg),
+                            b_ed)
+
+        theta, out_logits, trace, end, _ = descend()
         fresh = joint._evaluate
         with monkeypatch.context() as mp:
             mp.setattr(joint, "_evaluate", lambda *a, ws=None, **k: fresh(*a, **k))
-            ref_theta, ref_logits, ref_trace, ref_end, _ = _descend(*args)
+            ref_theta, ref_logits, ref_trace, ref_end, _ = descend()
         assert theta.values.tobytes() == ref_theta.values.tobytes()
         if logits is None:
             assert out_logits is None and ref_logits is None
@@ -760,13 +803,17 @@ def test_descend_end_is_evaluate_at_returned_point(model, joint_mode):
     cfg = JointConfig()
     alpha, b_ed = _resolve_alpha(cfg), joint._denoise_baseline(window, cfg.sigma)
     logits = np.zeros((20, 24)) if joint_mode else None
-    start, _, _, _, _ = _descend(window, model, cfg, 5, 0.0)
-    theta, out_logits, trace, end, _ = _descend(window, model, cfg, 7, 0.5, logits, alpha,
+    ws = joint._Workspace(window, cfg.sigma)
+    start, _, _, _, _ = _descend(window, model, cfg, 5, 0.0, ws)
+    theta, out_logits, trace, end, _ = _descend(window, model, cfg, 7, 0.5, ws, logits, alpha,
                                                 b_ed, start)
     assert len(trace) == 7 and theta.model == model
     assert (out_logits is None) == (not joint_mode)
+    warped = ws.warped.copy()
     want, _, _ = _evaluate(window, theta, out_logits, cfg, alpha, 0.5, b_ed, want_grads=False)
     assert _parts_bytes([end]) == _parts_bytes([want])
+    # solve samples the labels at the warped positions the end evaluation leaves
+    assert warped.tobytes() == warp(window, theta).tobytes()
 
 
 def test_descent_steps_fault_in_few_pages(monkeypatch):
@@ -787,8 +834,8 @@ def test_descent_steps_fault_in_few_pages(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(joint, "_evaluate", counted)
-    _descend(window, "translation2d", cfg, 55, 0.5, np.zeros((96, 96)), _resolve_alpha(cfg),
-             joint._denoise_baseline(window, cfg.sigma))
+    _descend(window, "translation2d", cfg, 55, 0.5, joint._Workspace(window, cfg.sigma),
+             np.zeros((96, 96)), _resolve_alpha(cfg), joint._denoise_baseline(window, cfg.sigma))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     per_step = (faults[-1] - faults[5]) / 50
     assert per_step <= 25, f"{per_step:.1f} minor page faults per descent step"
@@ -835,7 +882,8 @@ def test_descent_steps_allocate_no_per_event_arrays(monkeypatch):
     monkeypatch.setattr(joint, "_evaluate", counted)
     tracemalloc.start()
     try:
-        _descend(window, "translation2d", cfg, 25, 0.5, np.zeros((32, 32)), _resolve_alpha(cfg),
+        _descend(window, "translation2d", cfg, 25, 0.5, joint._Workspace(window, cfg.sigma),
+                 np.zeros((32, 32)), _resolve_alpha(cfg),
                  joint._denoise_baseline(window, cfg.sigma))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

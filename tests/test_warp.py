@@ -95,6 +95,17 @@ class TestRotation:
         out = warp(w, MotionParams.rotation(np.pi))
         assert out[0] == pytest.approx([cx - 1.0, cy], abs=1e-12)
 
+    def test_warp_without_center_is_a_value_error(self):
+        w = _random_window(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="rotation center"):
+            warp_positions(w.positions, w.times - w.t_ref, MotionParams.rotation(0.3))
+
+    def test_pullback_without_center_is_a_value_error(self):
+        w = _random_window(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="rotation center"):
+            warp_pullback(np.ones((len(w), 2)), w.positions, w.times - w.t_ref,
+                          MotionParams.rotation(0.3))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_pullback_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
