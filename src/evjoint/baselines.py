@@ -101,9 +101,9 @@ def _cmax(window: EventWindow, model: str, cfg: JointConfig,
     if theta is not None:
         theta = _guarded_start(window, model, cfg, theta,
                                _denoise_baseline(window, cfg.sigma, ws.splat), ws)
-    end, _, trace, _, _ = _descend(window, model, cfg, cfg.iterations, 0.0, ws, theta=theta)
-    return end, {"warm_iterations": len(trace), "seeded": theta is not None,
-                 "stop_reason": "settled" if len(trace) < cfg.iterations else "cap"}
+    end, _, steps, _, capped = _descend(window, model, cfg, cfg.iterations, 0.0, ws, theta=theta)
+    return end, {"warm_iterations": steps, "seeded": theta is not None,
+                 "stop_reason": "settled" if capped is None else "cap"}
 
 
 def cmax_solve(window: EventWindow, model: str, cfg: JointConfig,

@@ -143,37 +143,37 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sort", action="store_true",
                         help="sort events by time instead of rejecting unsorted input")
     parser.add_argument("--log", choices=("text", "json"), default="text",
-                        help="per-iteration trace on stdout: json prints one object per "
-                             "iteration, text prints none")
+                        help="per-step trace on stdout: json prints one object per joint-phase "
+                             "step as it is taken, text prints none")
 
 
 def _solve_windows(args: argparse.Namespace, method):
     """Load and window the input; return (events, geometry, solved), where
-    solved yields (window, method(window, start)) one window at a time, after
-    its `--log json` trace and its log line are out. start is the previous
-    window's motion if a solver produced it (None for the first window and
-    after a degenerate or solver-free one); the method guards it."""
+    solved yields (window, method(window, start, on_step)) one window at a
+    time, after its log line is out. start is the previous window's motion
+    if a solver produced it (None for the first window and after a
+    degenerate or solver-free one); the method guards it. on_step prints a
+    joint-phase step's `--log json` line as it is taken (None under text)."""
     events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
     windows = _make_windows(events, geometry, args.window_ms, args.window_count)
 
     def solved():
         start = None
         for i, w in enumerate(windows):
+            def printed(k, p):
+                print(json.dumps({"window": i, "iter": k, "f_ea": p.f_ea, "f_ed": p.f_ed,
+                                  "r_ea": p.r_ea, "r_ed": p.r_ed,
+                                  "worst_regret": p.worst_regret, "total": p.total}))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # degenerate windows
-                res = method(w, start)
-            if args.log == "json":
-                for k, p in enumerate(res.trace):
-                    print(json.dumps({"window": i, "iter": k, "f_ea": p.f_ea, "f_ed": p.f_ed,
-                                      "r_ea": p.r_ea, "r_ed": p.r_ed,
-                                      "worst_regret": p.worst_regret, "total": p.total}))
+                res = method(w, start, printed if args.log == "json" else None)
             steps = ""
             if res.stop_reason is not None:  # a solver ran: its steps and where it began
                 # the warm start's own stop; none shown when an explicit b_ea skipped it
                 warm = (" (cap, resumed)" if res.resumed else
                         " (settled)" if res.warm_iterations else "")
                 counts = (f"{res.warm_iterations} cmax steps" if res.final is None else
-                          f"{res.warm_iterations} warm{warm} + {len(res.trace)} joint steps")
+                          f"{res.warm_iterations} warm{warm} + {res.iterations} joint steps")
                 origin = f"window {i - 1}" if res.seeded else "zero"
                 steps = f", {counts} ({res.stop_reason}), from {origin}"
             logger.info("window %d: %d/%d kept, theta=%s%s", i, int(res.labels.sum()),
@@ -194,7 +194,7 @@ def _window_record(w: EventWindow, res: JointResult) -> dict:
     if res.final is not None:
         rec.update({
             "f_ea": res.final.f_ea, "f_ed": res.final.f_ed, "R": res.final.worst_regret,
-            "total": res.final.total, "iterations": len(res.trace),
+            "total": res.final.total, "iterations": res.iterations,
             "b_ea": res.b_ea, "b_ed": res.b_ed, "alpha": res.alpha,
         })
     return rec
@@ -228,9 +228,9 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     baf_cfg = BafConfig(dt_max=args.baf_dt_max / 1000.0, radius=args.baf_radius,
                         min_support=args.baf_min_support)
     method = {
-        "joint": lambda w, start: solve(w, cfg, model=args.model, start=start),
-        "baf": lambda w, _: kept_result(w, baf_filter(w, baf_cfg), MotionParams.zero(args.model)),
-        "cmax-seq": lambda w, start: sequential_pipeline(w, baf_cfg, cfg, args.model, start),
+        "joint": lambda w, start, on_step: solve(w, cfg, args.model, start, on_step),
+        "baf": lambda w, *_: kept_result(w, baf_filter(w, baf_cfg), MotionParams.zero(args.model)),
+        "cmax-seq": lambda w, start, _: sequential_pipeline(w, baf_cfg, cfg, args.model, start),
     }[args.method]
     events, geometry, solved = _solve_windows(args, method)
     labels_out, records, confidences = [], [], []
@@ -251,12 +251,12 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 def cmd_estimate_motion(args: argparse.Namespace) -> int:
     cfg = _joint_config(args)
 
-    def cmax(w, start):
+    def cmax(w, start, _):
         theta, record = _cmax(w, args.model, cfg, start)
         return kept_result(w, np.zeros(len(w), dtype=bool), theta, **record)
 
     method = {
-        "joint": lambda w, start: solve(w, cfg, model=args.model, start=start),
+        "joint": lambda w, start, on_step: solve(w, cfg, args.model, start, on_step),
         "cmax": cmax,
     }[args.method]
     _, _, solved = _solve_windows(args, method)

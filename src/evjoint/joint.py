@@ -55,6 +55,10 @@ class ExplicitBaseline:
 
     value: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"b_ea must be finite, got {self.value}")
+
 
 @dataclass(frozen=True)
 class WarmStartScaled:
@@ -84,10 +88,10 @@ class JointConfig:
     tau: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.alpha is not None and not (self.alpha >= 0):
-            raise ValueError("alpha must be non-negative")
-        if not (self.beta >= 0):
-            raise ValueError("beta must be non-negative")
+        if self.alpha is not None and not (0 <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
+        if not (0 <= self.beta < math.inf):
+            raise ValueError(f"beta must be non-negative and finite, got {self.beta}")
         if not isinstance(self.b_ea, (ExplicitBaseline, WarmStartScaled)):
             raise ValueError("b_ea must be ExplicitBaseline or WarmStartScaled")
         if self.iterations < 0:
@@ -113,20 +117,22 @@ class ObjectiveParts:
 
 @dataclass(frozen=True)
 class JointResult:
-    """Motion, confidence map, each event's confidence (the map's weights
-    sampled bilinearly at the event warped by theta) and labels; the solver's
-    record (the joint phase's per-step trace, why it stopped, "settled" or
-    "cap", the warm start's step count, whether the first descent began
-    at the caller's `start`, and whether the joint phase resumed the warm
-    start's Adam state, which it does exactly when the warm start stopped at
-    its cap) defaults to an empty trace, no stop reason and NaN baselines
-    for results no objective produced."""
+    """One window's result: theta, the motion; conf, the confidence map;
+    labels, confidence >= tau; confidence, the map's weights sampled
+    bilinearly at each event warped by theta; iterations, the joint phase's
+    step count; final, the objective's parts at its end point; b_ea, b_ed
+    and alpha, the baselines and L1 weight used; stop_reason, why the joint
+    phase stopped, "settled" or "cap"; warm_iterations, the warm start's step
+    count; seeded, whether the first descent began at the caller's `start`;
+    resumed, whether the joint phase resumed the warm start's Adam state
+    (exactly when the warm start stopped at its cap). Results no objective
+    produced keep the defaults: no steps, no stop reason, NaN baselines."""
 
     theta: MotionParams
     conf: ConfidenceMap
     labels: np.ndarray
     confidence: np.ndarray
-    trace: list[ObjectiveParts] = field(default_factory=list)
+    iterations: int = 0
     final: ObjectiveParts | None = None
     b_ea: float = math.nan
     b_ed: float = math.nan
@@ -328,7 +334,7 @@ def _guarded_start(window: EventWindow, model: str, cfg: JointConfig, start: Mot
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
              ws: _Workspace, logits: np.ndarray | None = None, alpha: float = math.nan,
              b_ed: float = math.nan, theta: MotionParams | None = None,
-             state: AdamState | None = None):
+             state: AdamState | None = None, on_step=None):
     """Full-batch Adam descent on the objective from theta (zero motion if
     None), for at most `iterations` steps.
 
@@ -345,10 +351,11 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     and weights are left in ws.warped and ws.wts. phi's Adam moments and
     step count start from `state` (zeros when None), which the descent
     updates in place, so a descent that resumes another's carries on its
-    bias correction.
-    Returns (theta, logits, trace of the stepped points' parts, end point's
-    parts, phi's Adam state if the descent stopped at the cap, else None: a
-    settled descent has no motion left to hand on); NonFiniteObjective if any
+    bias correction. on_step(it, parts), if given, is called with each
+    stepped point as its step is taken; nothing is kept per step.
+    Returns (theta, logits, the number of steps, end point's parts, phi's
+    Adam state if the descent stopped at the cap, else None: a settled
+    descent has no motion left to hand on); NonFiniteObjective if any
     evaluation's total is not finite.
     """
     span = (window.t_end - window.t_start) or 1.0  # EventWindow keeps t_end >= t_start
@@ -359,7 +366,6 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
         wts_then = np.empty_like(logits)
     state_phi = AdamState.zeros_like(phi) if state is None else state
     state_log = None if logits is None else AdamState.zeros_like(logits)
-    trace: list[ObjectiveParts] = []
     for it in range(iterations + 1):
         theta = MotionParams(model, phi / span)
         parts, dtheta, dlogits = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed,
@@ -367,24 +373,25 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         if it == iterations:
-            return theta, logits, trace, parts, state_phi
+            return theta, logits, it, parts, state_phi
         if it % STOP_EVERY == 0:
             if it and np.abs(phi - phi_then).max() <= STOP_EVERY * STOP_PX and (
                     wts_then is None
                     or np.abs(np.subtract(ws.wts, wts_then, out=ws.tmp), out=ws.tmp).max()
                     <= STOP_WEIGHT):
-                return theta, logits, trace, parts, None
+                return theta, logits, it, parts, None
             phi_then[:] = phi
             if wts_then is not None:
                 wts_then[...] = ws.wts
-        trace.append(parts)
+        if on_step is not None:
+            on_step(it, parts)
         phi, state_phi = adam_step(phi, dtheta / span, state_phi, LR_THETA)
         if logits is not None:
             logits, state_log = adam_step(logits, dlogits, state_log, LR_LOGITS)
 
 
 def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
-          start: MotionParams | None = None) -> JointResult:
+          start: MotionParams | None = None, on_step=None) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
 
     Runs `_descend` from theta = 0 and logits = 0 (weights 0.5), both phases
@@ -408,6 +415,7 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     in the workspace; it is signal when that reaches tau. A window of fewer
     than DEGENERATE_MIN_EVENTS events gets zero motion, an all-noise map,
     confidence 0 and NaN b_ed, and allocates no maps.
+    on_step, if given, sees the joint phase's steps as `_descend` takes them.
     Deterministic: the solver is full-batch.
     """
     alpha = _resolve_alpha(cfg)
@@ -424,19 +432,19 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     ws = _Workspace(window, cfg.sigma)
     b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
     theta = seed = _guarded_start(window, model, cfg, start, b_ed, ws)
-    warm, state = [], None
+    warm, state = 0, None
     if isinstance(cfg.b_ea, WarmStartScaled):
         theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
                                               theta=theta)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
-    theta, logits, trace, final, _ = _descend(
+    theta, logits, steps, final, capped = _descend(
         window, model, cfg, cfg.iterations, b_ea, ws, np.zeros(window.geometry.shape), alpha,
-        b_ed, theta, state)
+        b_ed, theta, state, on_step)
     confidence = interpolate_confidence(ws.wts, ws.warped)
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
-                       trace=trace, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
-                       stop_reason="settled" if len(trace) < cfg.iterations else "cap",
-                       warm_iterations=len(warm), seeded=seed is not None,
+                       iterations=steps, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
+                       stop_reason="settled" if capped is None else "cap",
+                       warm_iterations=warm, seeded=seed is not None,
                        resumed=state is not None)

@@ -92,12 +92,12 @@ def warp_positions(
     if theta.model == TRANSLATION_2D:
         return np.add(positions, np.multiply(dt[:, None], theta.values[None, :], out=out),
                       out=out)
-    # in-plane rotation about the image center
+    # in-plane rotation about the image center, as x plus a displacement: exact at zero
     rel = _relative(positions, center)
     ang = theta.values[0] * dt
-    c, s = np.cos(ang), np.sin(ang)
-    out[:, 0] = center[0] + c * rel[:, 0] - s * rel[:, 1]
-    out[:, 1] = center[1] + s * rel[:, 0] + c * rel[:, 1]
+    c, s = np.cos(ang) - 1.0, np.sin(ang)
+    out[:, 0] = positions[:, 0] + c * rel[:, 0] - s * rel[:, 1]
+    out[:, 1] = positions[:, 1] + s * rel[:, 0] + c * rel[:, 1]
     return out
 
 

@@ -141,22 +141,40 @@ class TestPipeline:
         assert report["counts"]["tp"] + report["counts"]["fp"] > 0
 
     def test_nonfinite_objective_exits_two(self, synth_file, tmp_path, capsys):
+        # a finite L1 weight whose term overflows the total
         code = run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "o.evj"),
-                   "--b-ea", "inf", "--iters", "4")
+                   "--alpha", "1e308", "--iters", "4")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("evjoint: error: non-finite objective at iteration 0")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("flag", ["--b-ea=inf", "--alpha=inf"])
-    def test_nonfinite_end_objective_exits_two(self, synth_file, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flags", [["--b-ea=1", "--alpha=1e308"], ["--alpha=1e308"]],
+                             ids=["explicit-b-ea", "warm-start"])
+    def test_nonfinite_end_objective_exits_two(self, synth_file, tmp_path, capsys, flags):
         # no step runs: the end point's evaluation is checked as every step's is
         out = tmp_path / "o.evj"
-        assert run("denoise", "-i", str(synth_file), "-o", str(out), flag, "--iters", "0") == 2
+        assert run("denoise", "-i", str(synth_file), "-o", str(out), *flags, "--iters", "0") == 2
         err = capsys.readouterr().err
         assert err.startswith("evjoint: error: non-finite objective at iteration 0")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--alpha", "inf", "--b-ea", "nan"], ["--alpha=inf"],
+                                       ["--beta=inf"], ["--b-ea=nan"], ["--b-ea=-inf"]],
+                             ids=["alpha-inf-b-ea-nan", "alpha-inf", "beta-inf", "b-ea-nan",
+                                  "b-ea-minus-inf"])
+    def test_nonfinite_weight_exits_two_before_io(self, tmp_path, capsys, flags):
+        # every window is degenerate, so no objective is evaluated: the
+        # weights are refused with the configuration, not by the solve
+        p = tmp_path / "in.csv"
+        p.write_text("x,y,t,p\n1,1,0.1,1\n2,2,0.2,-1\n3,3,0.3,1\n")
+        out = tmp_path / "o.evj"
+        assert run("denoise", "-i", str(p), "-o", str(out), "--geometry", "8x8",
+                   "--window-count", "5", *flags) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("evjoint: error:")
+        assert not out.exists() and not (tmp_path / "o.evj.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["denoise", "--method", "baf", "-i", "{in}", "-o", "{in}/o.evj"],
@@ -362,6 +380,30 @@ class TestPipeline:
         assert len(lines) == 5
         assert {"window", "iter", "f_ea", "f_ed", "total"} <= set(lines[0])
 
+    def test_json_log_prints_each_step_as_it_is_taken(self, synth_file, tmp_path, capsys,
+                                                     monkeypatch):
+        # each window's lines carry iter 0 to n - 1, n its sidecar's
+        # "iterations", and are all out by the time its solve returns
+        printed = []
+
+        def solved(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            printed.append(capsys.readouterr().out)
+            return res
+
+        monkeypatch.setattr(cli, "solve", solved)
+        assert run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "out.evj"),
+                   "--window-ms", "40", "--iters", "60", "--log", "json") == 0
+        assert capsys.readouterr().out == ""
+        records = json.loads((tmp_path / "out.evj.json").read_text())["windows"]
+        assert len(printed) == len(records) == 3
+        for i, (text, rec) in enumerate(zip(printed, records)):
+            lines = [json.loads(line) for line in text.splitlines()]
+            assert [(line["window"], line["iter"]) for line in lines] == \
+                [(i, k) for k in range(rec["iterations"])]
+            assert all(list(line) == ["window", "iter", "f_ea", "f_ed", "r_ea", "r_ed",
+                                      "worst_regret", "total"] for line in lines)
+
 
 def _joined(tmp_path, geometry, parts):
     """Write the event streams one after another; a (spec, t0) part is the
@@ -412,9 +454,9 @@ class TestWarmStartSeed:
         src = _joined(tmp_path, g, [(spec, 0.0), stray, (spec, 0.3)])
         starts = []
 
-        def recording(w, cfg, model, start=None):
+        def recording(w, cfg, model, start=None, on_step=None):
             starts.append(start)
-            return solve(w, cfg, model=model, start=start)
+            return solve(w, cfg, model, start, on_step)
 
         monkeypatch.setattr(cli, "solve", recording)
         outs = [tmp_path / "a.evj", tmp_path / "b.evj"]

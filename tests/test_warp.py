@@ -138,3 +138,16 @@ def test_warp_positions_into_a_given_buffer(theta):
     buf = np.full((len(w), 2), np.nan)
     assert warp_positions(*args, buf) is buf
     assert buf.tobytes() == warp_positions(*args).tobytes() == warp(w, theta).tobytes()
+
+
+@pytest.mark.parametrize("theta", [MotionParams.translation(0.0, 0.0), MotionParams.rotation(0.0)])
+def test_zero_motion_is_the_identity(theta):
+    # events pinned about 40 px off a 24 x 20 sensor, far from the rotation
+    # center, where re-centring a position, center + (x - center), rounds
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0, 24, 150), rng.uniform(0, 20, 150)
+    x[:40:2] = -40.0 - rng.uniform(0, 5, 20)
+    y[1:40:2] = 50.0 + rng.uniform(0, 5, 20)
+    w = _window(x, y, np.sort(rng.uniform(0, 0.1, 150)), t_ref=0.05, t_end=0.1,
+                geometry=SensorGeometry(24, 20))
+    assert warp(w, theta).tobytes() == w.positions.tobytes()
