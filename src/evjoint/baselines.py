@@ -9,8 +9,8 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _denoise_baseline, _descend,
-                    _guarded_start, _Workspace, interpolate_confidence)
+from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _guarded_start,
+                    _Workspace, interpolate_confidence)
 from .warp import MotionParams, warp
 
 # baf_filter's work, (2r + 1)^2 neighbour offsets times (n events plus a fixed
@@ -43,9 +43,10 @@ class BafConfig:
 
 def _squeeze(pixels: np.ndarray, radius: int) -> np.ndarray:
     # integer-valued pixels renumbered from `radius` up, each gap wider than
-    # `radius` cut to radius + 1 (exact via uint64): neighbours stay neighbours
-    px, inv = np.unique(pixels.astype(np.int64), return_inverse=True)
-    steps = np.minimum(np.diff(px.view(np.uint64)), radius + 1).astype(np.int64)
+    # `radius` cut to radius + 1: neighbours stay neighbours. A float gap of
+    # integer-valued floats is exact up to radius + 1 and rounds to no less
+    px, inv = np.unique(pixels, return_inverse=True)
+    steps = np.minimum(np.diff(px), radius + 1).astype(np.int64)
     return np.concatenate(([radius], radius + np.cumsum(steps)))[inv]
 
 
@@ -64,12 +65,13 @@ def baf_filter(window: EventWindow, cfg: BafConfig) -> np.ndarray:
     n, ev = len(window), window.events
     t = ev.t  # window events are time-sorted
     px, py = np.floor(ev.x), np.floor(ev.y)
-    r = int(min(cfg.radius, max(np.ptp(px), np.ptp(py)) if n else 0))
+    with np.errstate(over="ignore"):  # a spread or gap past 1.8e308 is inf: wider than r
+        r = int(min(cfg.radius, max(np.ptp(px), np.ptp(py)) if n else 0))
+        cx, cy = _squeeze(px, r), _squeeze(py, r)
     work = (2 * r + 1) ** 2 * (n + BAF_OFFSET_EVENTS)
     if work > BAF_MAX_WORK:
         raise ValueError(f"BAF radius {r} on a window of {n} events needs {work} units of "
                          f"work, over the filter's work bound of {BAF_MAX_WORK}")
-    cx, cy = _squeeze(px, r), _squeeze(py, r)
     width = int(cx.max(initial=0)) + r + 1
     if (int(cy.max(initial=0)) + r + 1) * width * (n + 1) >= 2**63:
         raise ValueError("window too large for the BAF filter's int64 keys")
@@ -98,9 +100,7 @@ def _cmax(window: EventWindow, model: str, cfg: JointConfig,
     if len(window) < DEGENERATE_MIN_EVENTS:
         return MotionParams.zero(model), {}
     ws = _Workspace(window, cfg.sigma)
-    if theta is not None:
-        theta = _guarded_start(window, model, cfg, theta,
-                               _denoise_baseline(window, cfg.sigma, ws.splat), ws)
+    theta = _guarded_start(window, model, cfg, theta, ws)
     end, _, steps, _, capped = _descend(window, model, cfg, cfg.iterations, 0.0, ws, theta=theta)
     return end, {"warm_iterations": steps, "seeded": theta is not None,
                  "stop_reason": "settled" if capped is None else "cap"}

@@ -36,8 +36,8 @@ TRUNCATE_SIGMAS = 4.0
 # memory; much smaller chunks pay numpy's per-call overhead instead.
 _CHUNK_TAPS = 32768
 
-# Bound on a SplatWork (see kernel_size): it admits a 4096 x 4096 sensor at
-# sigma = 1 and, on a 1 x 1 sensor, sigma up to 361.5.
+# Bound on a SplatCache's buffers (see kernel_size): it admits a 4096 x 4096
+# sensor at sigma = 1 and, on a 1 x 1 sensor, sigma up to 361.5.
 WORKSPACE_LIMIT_BYTES = 1 << 29
 
 # Cubic B-spline weights of the taps floor(u) - 1 ... floor(u) + 2 (rows
@@ -102,10 +102,9 @@ def hard_map(positions: np.ndarray, geometry: SensorGeometry) -> ContrastMap:
     """Count events per pixel cell; positions outside the sensor are ignored."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     h, w = geometry.shape
-    jx = np.floor(positions[:, 0]).astype(np.int64)
-    iy = np.floor(positions[:, 1]).astype(np.int64)
-    inside = (jx >= 0) & (jx < w) & (iy >= 0) & (iy < h)
-    lin = iy[inside] * w + jx[inside]
+    x, y = positions.T
+    inside = (x >= 0) & (x < w) & (y >= 0) & (y < h)  # before the int64 cast
+    lin = np.floor(y[inside]).astype(np.int64) * w + np.floor(x[inside]).astype(np.int64)
     counts = np.bincount(lin, minlength=h * w).astype(np.float64)
     return ContrastMap(counts.reshape(h, w), geometry)
 
@@ -113,7 +112,7 @@ def hard_map(positions: np.ndarray, geometry: SensorGeometry) -> ContrastMap:
 def kernel_size(sigma: float, shape: tuple[int, int] = (1, 1)) -> tuple[int, int]:
     """(blur half-width ceil(4 sigma'), sigma'^2 = sigma^2 - 1/3, events per
     chunk). Raises ValueError, before anything is allocated, unless sigma is
-    finite and above 1/sqrt(3) and an H x W SplatWork fits the bound."""
+    finite and above 1/sqrt(3) and an H x W SplatCache fits the bound."""
     if not (0 < sigma < math.inf and sigma * sigma > _VOTE_VARIANCE):
         raise ValueError(f"sigma must be finite and above 1/sqrt(3) = 0.577, got {sigma}")
     half = math.ceil(TRUNCATE_SIGMAS * sigma * math.sqrt(1.0 - _VOTE_VARIANCE / (sigma * sigma)))
@@ -126,22 +125,29 @@ def kernel_size(sigma: float, shape: tuple[int, int] = (1, 1)) -> tuple[int, int
     return half, step
 
 
-class SplatWork:
-    """The splat kernel's buffers for one geometry, sigma and event count, at
-    most WORKSPACE_LIMIT_BYTES: `padded`, the vote map padded by P = max(2
-    half, half + 4) pixels (in the gradient, the zero-padded and then the
-    blurred coefficient grid; between a blur's two passes, its transposed
-    intermediate, at its start); `scratch`, of its size, each blur pass's
-    C-order output; `values`, the cropped map; and one chunk's taps and
-    votes, whose `lin` and `w` are the splat's and chunk's named by `held`.
-    Every splat and gradient overwrites them; the caller may reuse it for
-    any number of splats."""
+class SplatCache:
+    """The splat kernel for one geometry and sigma, holding its last splat;
+    it splats `positions` when built, and `splat` re-splats in place.
+
+    Votes off the sensor land in the padding, so need no mask; an event the
+    blur cannot carry onto the sensor is pinned just outside that reach. Its
+    buffers, at most WORKSPACE_LIMIT_BYTES: `padded`, the vote map padded by
+    P = max(2 half, half + 4) pixels (in the gradient, the zero-padded and
+    then the blurred coefficient grid; between a blur's two passes, its
+    transposed intermediate, at its start); `scratch`, of its size, each blur
+    pass's C-order output; `values`, the cropped map; and the taps and votes
+    of one chunk of at most as many events as the first splat's. `lin` and
+    `w` hold the taps of the chunk starting at event `held`, so the gradient
+    reuses the last chunk's (all of a window of up to 2,048 events); each
+    splat clears `held`. Every splat and gradient overwrites the buffers, so
+    `values` lasts until the next splat."""
 
     __slots__ = ("geometry", "sigma", "half", "step", "pad", "taps", "offsets", "hi", "padded",
                  "regions", "blurs", "scratch", "values", "pw", "f", "base", "w", "lin", "block",
-                 "held")
+                 "held", "positions")
 
-    def __init__(self, geometry: SensorGeometry, sigma: float, n_events: int):
+    def __init__(self, positions: np.ndarray, geometry: SensorGeometry, sigma: float):
+        positions = np.ascontiguousarray(positions, dtype=np.float64).reshape(-1, 2)
         half, self.step = kernel_size(sigma, geometry.shape)
         self.geometry, self.sigma, self.half = geometry, float(sigma), half
         h, w = geometry.shape
@@ -175,10 +181,23 @@ class SplatWork:
         # first vote's upper clip per axis (x, y), in padded pixels
         self.offsets = (np.arange(4)[:, None] * (w + 2 * p) + np.arange(4))[:, :, None]
         self.hi = np.array([[p + w + half], [p + h + half]])
-        c = min(self.step, n_events)
+        c = min(self.step, len(positions))
         self.pw, self.f, self.w, self.block = (np.empty(k * c) for k in (8, 2, 16, 16))
         self.base, self.lin = np.empty(c, dtype=np.int64), np.empty(16 * c, dtype=np.int64)
-        self.held = None  # (splat token, first event) of the chunk in lin and w
+        self.splat(positions)
+
+    def splat(self, positions: np.ndarray) -> "SplatCache":
+        """Splat positions, at most as many as the first splat's, in place of
+        the last splat; returns self."""
+        self.positions = np.ascontiguousarray(positions, dtype=np.float64).reshape(-1, 2)
+        self.held = None
+        self.padded.fill(0.0)
+        for _, lin, w, _ in self._chunks():
+            votes = np.multiply(w[:, 1, None, :], w[None, :, 0, :],
+                                out=self.block[:lin.size].reshape(lin.shape))
+            np.add.at(self.padded.ravel(), lin.ravel(), votes.ravel())
+        self.blur(adjoint=False)
+        return self
 
     def blur(self, adjoint: bool) -> None:
         """Blur regions[1] into values, or if adjoint regions[2] into
@@ -191,97 +210,68 @@ class SplatWork:
             self.padded.fill(0.0)
         np.copyto(dest, out2.T)
 
-
-class SplatCache:
-    """One splat of a position set; reusable for gradient passes.
-
-    Votes off the sensor land in the padding, so need no mask; an event the
-    blur cannot carry onto the sensor is pinned just outside that reach. It
-    writes into `work` (a fresh SplatWork when None), so `values` lasts until
-    the next splat into the same work. The gradient reuses the taps of the
-    splat's last chunk (all of a window of up to 2,048 events) while no other
-    splat has written the work; they are keyed by `token`, not by the cache,
-    so the work keeps no dropped cache alive."""
-
-    __slots__ = ("geometry", "sigma", "positions", "values", "work", "token")
-
-    def __init__(self, positions: np.ndarray, geometry: SensorGeometry, sigma: float,
-                 work: SplatWork | None = None):
-        self.positions = np.ascontiguousarray(positions, dtype=np.float64).reshape(-1, 2)
-        if work is None:
-            work = SplatWork(geometry, sigma, len(self.positions))
-        if (work.geometry, work.sigma) != (geometry, float(sigma)):
-            raise ValueError("splat workspace was built for another geometry or sigma")
-        self.geometry, self.sigma, self.work = geometry, float(sigma), work
-        self.token = object()  # keys the taps this splat leaves in work
-        work.padded.fill(0.0)
-        for _, lin, w, _ in self._chunks():
-            votes = np.multiply(w[:, 1, None, :], w[None, :, 0, :],
-                                out=work.block[:lin.size].reshape(lin.shape))
-            np.add.at(work.padded.ravel(), lin.ravel(), votes.ravel())
-        work.blur(adjoint=False)
-        self.values = work.values
-
     def _chunks(self, reverse: bool = False):
-        """Votes per event chunk, in a fixed order (reversed if reverse), in
-        the work's buffers, computed unless still held from this splat:
-        yields (events, lin, w, dw), the chunk's event slice, the flat padded
-        index of every vote (4, 4, C) (y, x, event), and per tap and axis
-        (x, y) the weights w and their position derivatives dw, (4, 2, C)."""
-        work = self.work
+        """Votes per event chunk of the last splat, in a fixed order (reversed
+        if reverse), computed unless still held: yields (events, lin, w, dw),
+        the chunk's event slice, the flat padded index of every vote (4, 4, C)
+        (y, x, event), and per tap and axis (x, y) the weights w and their
+        position derivatives dw, (4, 2, C)."""
         n = len(self.positions)
-        starts = range(0, n, work.step)
+        starts = range(0, n, self.step)
         for k in reversed(starts) if reverse else starts:
-            c = slice(k, min(k + work.step, n))
+            c = slice(k, min(k + self.step, n))
             m = c.stop - k
-            lin = work.lin[:16 * m].reshape(4, 4, m)
-            w = work.w[:16 * m].reshape(8, 2, m)
-            if work.held != (self.token, k):
+            lin = self.lin[:16 * m].reshape(4, 4, m)
+            w = self.w[:16 * m].reshape(8, 2, m)
+            if self.held != k:
                 # f = floor(u) + P - 1, u = position - 1/2: the first vote in
                 # padded pixels; powers 1, t, t^2, t^3 of t = u - floor(u)
-                pw = work.pw[:8 * m].reshape(4, 2, m)
-                t = np.add(self.positions[c].T, work.pad - 1.5, out=pw[1])
-                f = np.floor(t, out=work.f[:2 * m].reshape(2, m))
+                pw = self.pw[:8 * m].reshape(4, 2, m)
+                t = np.add(self.positions[c].T, self.pad - 1.5, out=pw[1])
+                f = np.floor(t, out=self.f[:2 * m].reshape(2, m))
                 t -= f
                 pw[0] = 1.0
                 np.multiply(t, t, out=pw[2])
                 np.multiply(pw[2], t, out=pw[3])
-                np.maximum(f, work.pad - work.half - 4, out=f)
-                np.minimum(f, work.hi, out=f)
-                f[1] *= work.padded.shape[1]
+                np.maximum(f, self.pad - self.half - 4, out=f)
+                np.minimum(f, self.hi, out=f)
+                f[1] *= self.padded.shape[1]
                 f[1] += f[0]
-                np.copyto(work.base[:m], f[1], casting="unsafe")
-                np.add(work.offsets, work.base[:m], out=lin)
-                np.matmul(_SPLINE, pw.reshape(4, 2 * m), out=work.w[:16 * m].reshape(8, 2 * m))
-                work.held = (self.token, k)
+                np.copyto(self.base[:m], f[1], casting="unsafe")
+                np.add(self.offsets, self.base[:m], out=lin)
+                np.matmul(_SPLINE, pw.reshape(4, 2 * m), out=self.w[:16 * m].reshape(8, 2 * m))
+                self.held = k
             yield c, lin, w[:4], w[4:]
 
     def position_gradient(self, coefficients: np.ndarray, out: np.ndarray | None = None
                           ) -> np.ndarray:
-        """Gradient of sum_ij coefficients_ij * M_ij w.r.t. positions, (N, 2):
-        the transpose of out, a (2, N) array (fresh when None)."""
+        """Gradient of sum_ij coefficients_ij * M_ij w.r.t. the last splat's
+        positions, (N, 2): the transpose of out, a (2, N) array (fresh when
+        None)."""
         coef = np.asarray(coefficients, dtype=np.float64)
         if coef.shape != self.geometry.shape:
             raise ValueError("coefficient grid shape does not match geometry")
-        work = self.work
         # the blur is symmetric, so its adjoint blurs the zero-padded grid
-        work.padded.fill(0.0)
-        work.regions[0][...] = coef
-        work.blur(adjoint=True)
+        self.padded.fill(0.0)
+        self.regions[0][...] = coef
+        self.blur(adjoint=True)
         if out is None:  # einsum is slow into strided out=, so it is (2, N)
             out = np.empty((2, len(self.positions)))
         for c, lin, w, dw in self._chunks(reverse=True):
             # blurred coefficient at each vote; mode="wrap" (indices are in
             # range) lets take write into out= without buffering
-            patch = np.take(work.padded.ravel(), lin, mode="wrap",
-                            out=work.block[:lin.size].reshape(lin.shape))
+            patch = np.take(self.padded.ravel(), lin, mode="wrap",
+                            out=self.block[:lin.size].reshape(lin.shape))
             np.einsum("ac,abc,bc->c", w[:, 1], patch, dw[:, 0], out=out[0, c])
             np.einsum("ac,abc,bc->c", dw[:, 1], patch, w[:, 0], out=out[1, c])
         return out.T
 
 
-def _splat(positions: np.ndarray, geometry: SensorGeometry, sigma: float, work=None) -> SplatCache:
-    return SplatCache(positions, geometry, sigma, work)
+def _splat(positions: np.ndarray, geometry: SensorGeometry, sigma: float,
+           work: SplatCache | None = None) -> SplatCache:
+    """Splat positions into work, a SplatCache of this geometry and sigma
+    (a fresh one when None), and return it."""
+    return SplatCache(positions, geometry, sigma) if work is None else work.splat(positions)
 
 
 def smooth_map(

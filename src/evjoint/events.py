@@ -259,11 +259,12 @@ def _parse_binary(path) -> LoadedStream:
         if len(header) < 20 or header[:4] != BINARY_MAGIC:
             raise FormatError(f"{path}: not an event binary (bad magic/header)")
         width, height, count = struct.unpack("<IIQ", header[4:])
+        body = f.seek(0, 2) - 20  # whence 2 is the end of the file
+        if body != count * _EVENT_DTYPE.itemsize:
+            raise FormatError(f"{path}: header promises {count} events of "
+                              f"{_EVENT_DTYPE.itemsize} bytes, the body holds {body} bytes")
+        f.seek(20)
         records = np.fromfile(f, dtype=_EVENT_DTYPE)
-    if records.shape[0] != count:
-        raise FormatError(
-            f"{path}: header promises {count} events, file holds {records.shape[0]}"
-        )
     try:
         geometry = SensorGeometry(int(width), int(height))
     except ValueError as exc:

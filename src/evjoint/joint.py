@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .contrast import SIGMA_DEFAULT, ConfidenceMap, SplatWork, _splat, kernel_size, sigmoid
+from .contrast import SIGMA_DEFAULT, ConfidenceMap, _splat, kernel_size, sigmoid
 from .events import EventWindow
 from .warp import (TRANSLATION_2D, MotionParams, _rotation_center, model_dim, warp_positions,
                    warp_pullback)
@@ -183,12 +183,12 @@ def interpolate_confidence(weights: np.ndarray, positions: np.ndarray) -> np.nda
     """Bilinear sample of a per-pixel grid at continuous positions.
 
     Grid values sit at pixel centers; samples outside the grid clamp to the
-    border pixel.
+    border pixel. Coordinates are clipped to +-2^62, where every float is an
+    integer, before the int64 cast.
     """
     h, w = weights.shape
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    u = positions[:, 0] - 0.5
-    v = positions[:, 1] - 0.5
+    u, v = np.clip(positions.T - 0.5, -2.0**62, 2.0**62)
     j0 = np.floor(u).astype(np.int64)
     i0 = np.floor(v).astype(np.int64)
     fx = u - j0
@@ -202,11 +202,11 @@ def interpolate_confidence(weights: np.ndarray, positions: np.ndarray) -> np.nda
     return (1.0 - fy) * top + fy * bot
 
 
-def _denoise_baseline(window: EventWindow, sigma: float, work: SplatWork | None = None) -> float:
-    """b_ed: variance of the unwarped, unweighted smooth map, splatted into
-    work (a fresh SplatWork when None). It never depends on theta or the
-    logits, so `solve` computes it once per window."""
-    return float(np.var(_splat(window.positions, window.geometry, sigma, work).values))
+def _denoise_baseline(window: EventWindow, sigma: float) -> float:
+    """b_ed: variance of the unwarped, unweighted smooth map. It never
+    depends on theta or the logits; a _Workspace holds it from its first
+    splat."""
+    return float(np.var(_splat(window.positions, window.geometry, sigma).values))
 
 
 def _resolve_alpha(cfg: JointConfig) -> float:
@@ -217,16 +217,18 @@ def _resolve_alpha(cfg: JointConfig) -> float:
 
 
 class _Workspace:
-    """What every evaluation on one window writes into or reuses: a SplatWork
-    (within contrast.WORKSPACE_LIMIT_BYTES), seven H x W maps, the theta-free
-    warp inputs (positions, time offsets, rotation center) and the warped
-    positions and their gradient: 56 bytes per event. `solve` builds one per
-    non-degenerate window and splats b_ed into it too; it is dropped with
-    that call."""
+    """What every evaluation on one window writes into or reuses: the splat
+    kernel (within contrast.WORKSPACE_LIMIT_BYTES), built by splatting the
+    unwarped positions, whose map's variance is the window's b_ed; seven
+    H x W maps; the theta-free warp inputs (positions, time offsets,
+    rotation center); and the warped positions and their gradient: 56 bytes
+    per event. `solve` builds one per non-degenerate window; it is dropped
+    with that call."""
 
     def __init__(self, window: EventWindow, sigma: float):
-        self.splat = SplatWork(window.geometry, sigma, len(window))
         self.positions = window.positions
+        self.splat = _splat(self.positions, window.geometry, sigma)
+        self.b_ed = float(np.var(self.splat.values))
         self.dt = window.times - window.t_ref
         self.center = _rotation_center(window)
         (self.dev, self.wts, self.adev, self.resid, self.coef, self.dlogits,
@@ -302,7 +304,7 @@ def _evaluate_explicit(window: EventWindow, theta: MotionParams, conf: Confidenc
                          "solve() resolves warm-started baselines before optimizing")
     ws = _Workspace(window, cfg.sigma)
     return _evaluate(window, theta, conf.logits, cfg, _resolve_alpha(cfg), float(cfg.b_ea.value),
-                     _denoise_baseline(window, cfg.sigma, ws.splat), want_grads, ws)
+                     ws.b_ed, want_grads, ws)
 
 
 def objective(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
@@ -319,16 +321,16 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
 
 
 def _guarded_start(window: EventWindow, model: str, cfg: JointConfig, start: MotionParams | None,
-                   b_ed: float, ws: _Workspace) -> MotionParams | None:
+                   ws: _Workspace) -> MotionParams | None:
     """start if its alignment variance f_ea is strictly above the window's
-    b_ed, which is f_ea at zero motion, else None (descend from zero motion).
+    b_ed in ws, f_ea at zero motion, else None (descend from zero motion).
     One evaluation in ws, without gradients; none when start is None."""
     if start is None:
         return None
     if start.model != model:
         raise ValueError(f"start is a {start.model} motion, the solve's model is {model}")
     f_start = _evaluate(window, start, None, cfg, math.nan, 0.0, math.nan, False, ws)[0].f_ea
-    return start if f_start > b_ed else None
+    return start if f_start > ws.b_ed else None
 
 
 def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
@@ -430,8 +432,7 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
                            np.zeros(len(window)), alpha=alpha)
 
     ws = _Workspace(window, cfg.sigma)
-    b_ed = _denoise_baseline(window, cfg.sigma, ws.splat)
-    theta = seed = _guarded_start(window, model, cfg, start, b_ed, ws)
+    theta = seed = _guarded_start(window, model, cfg, start, ws)
     warm, state = 0, None
     if isinstance(cfg.b_ea, WarmStartScaled):
         theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
@@ -441,10 +442,10 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
         b_ea = float(cfg.b_ea.value)
     theta, logits, steps, final, capped = _descend(
         window, model, cfg, cfg.iterations, b_ea, ws, np.zeros(window.geometry.shape), alpha,
-        b_ed, theta, state, on_step)
+        ws.b_ed, theta, state, on_step)
     confidence = interpolate_confidence(ws.wts, ws.warped)
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
-                       iterations=steps, final=final, b_ea=b_ea, b_ed=b_ed, alpha=alpha,
+                       iterations=steps, final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=alpha,
                        stop_reason="settled" if capped is None else "cap",
                        warm_iterations=warm, seeded=seed is not None,
                        resumed=state is not None)

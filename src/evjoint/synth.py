@@ -7,10 +7,10 @@ step clears the contrast threshold. That yields events lying exactly on the
 moving edge, full ground truth per event, and a known collapsing motion.
 Noise events are uniform over the sensor and the time span.
 
-A scene may have at most MAX_AXIS_CROSSINGS = 10**7 emitters and cross at
-most that many pixel lines per axis over all emitters, inside the sensor or
-not (about 40 B of working memory each); a larger one raises ValueError
-before any emitter or crossing is allocated.
+A scene may have at most MAX_AXIS_CROSSINGS = 10**7 emitters and noise
+events, and cross at most that many pixel lines per axis over all emitters,
+inside the sensor or not (about 40 B of working memory each); a larger one
+raises ValueError before any emitter, crossing or noise event is allocated.
 """
 
 from __future__ import annotations
@@ -197,6 +197,9 @@ def generate(spec: SceneSpec, seed: int) -> tuple[EventWindow, np.ndarray, Motio
     if len(signal) == 0:
         raise ValueError("pattern produces no events inside the sensor for this scene")
     n_noise = _noise_count(len(signal), spec.noise_rate)
+    if n_noise > MAX_AXIS_CROSSINGS:
+        raise ValueError(f"noise rate {spec.noise_rate} asks for {n_noise:.3g} noise events, "
+                         f"above the limit of {MAX_AXIS_CROSSINGS:.0e}")
     rng = np.random.default_rng(seed)
     g = spec.geometry
     noise = Events(

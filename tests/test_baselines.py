@@ -79,10 +79,16 @@ class TestBafFilter:
         cfg = BafConfig()
         assert np.array_equal(baf_filter(window, cfg), brute_force_baf(window, cfg))
 
-    def test_far_apart_pixels_are_exact(self):
-        # pixels billions apart, and a pair one pixel apart far off the sensor
-        w = _window_from([1e12, 1e12 + 1.5, -5e9, 3.0], [2.0, 2.0, 7.0, 1e15],
-                         [0.0, 0.001, 0.002, 0.003])
+    @pytest.mark.parametrize("xs, ys", [
+        ([1e12, 1e12 + 1.5, -5e9, 3.0], [2.0, 2.0, 7.0, 1e15]),
+        ([1e12, 1e12 + 1.5, -1e19, 1e19], [2.0, 2.0, 7.0, 7.0]),
+        ([1e12, 1e12 + 1.5, -1e300, 1e300], [2.0, 2.0, 7.0, 7.0]),
+        ([1e12, 1e12 + 1.5, -1e308, 1e308], [2.0, 2.0, 7.0, 7.0]),
+    ], ids=["billions", "1e19", "1e300", "1e308"])
+    def test_far_apart_pixels_are_exact(self, xs, ys):
+        # pixels billions apart, or beyond +-2^63 where an int64 cast is
+        # undefined, and a pair one pixel apart far off the sensor
+        w = _window_from(xs, ys, [0.0, 0.001, 0.002, 0.003])
         assert baf_filter(w, BafConfig()).tolist() == [True, True, False, False]
 
     def test_key_overflow_rejected(self):

@@ -594,9 +594,10 @@ class TestSensorSizeBound:
 
 class TestSynthPatternBound:
     """Pattern parameters that are non-finite, or that ask for more than
-    synth.MAX_AXIS_CROSSINGS emitters, exit 2 before any emitter is
-    allocated. Unbounded, the large ones ask numpy for arrays of GiB to TiB,
-    so they run only under TestSensorSizeBound's address-space limit."""
+    synth.MAX_AXIS_CROSSINGS emitters or noise events, exit 2 before any
+    emitter or noise event is allocated. Unbounded, the large ones ask numpy
+    for arrays of GiB to TiB, so they run only under TestSensorSizeBound's
+    address-space limit."""
 
     @pytest.mark.parametrize("argv,message", [
         (["--pattern", "dot", "--radius", "inf"], "dot radius must be positive and finite"),
@@ -604,8 +605,10 @@ class TestSynthPatternBound:
         (["--pattern", "multi-edge", "--spacing", "1e-7"], "8.19e+10 emitters, above the limit"),
         (["--pattern", "vertical-edge", "--x0", "inf"], "edge column must be finite"),
         (["--pattern", "dot", "--center", "inf,3"], "dot center must be finite"),
+        (["--pattern", "dot", "--center", "30,30", "--radius", "5", "--geometry", "64x64",
+          "--motion", "20,0", "--noise-rate", "0.9999999999"], "noise events, above the limit"),
     ], ids=["dot-radius-inf", "dot-radius-1e12", "multi-edge-spacing-1e-7",
-            "vertical-edge-x0-inf", "dot-center-inf"])
+            "vertical-edge-x0-inf", "dot-center-inf", "noise-rate-near-1"])
     def test_unbounded_pattern_exits_two(self, tmp_path, argv, message):
         proc = TestSensorSizeBound._run_limited(tmp_path, "synth", *argv, "-o", "x.evj")
         assert proc.returncode == 2, proc.stderr

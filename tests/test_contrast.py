@@ -1,7 +1,5 @@
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -57,6 +55,12 @@ class TestHardMap:
 
     def test_empty(self):
         assert hard_map(np.zeros((0, 2)), G2).values.sum() == 0
+
+    @pytest.mark.parametrize("far", [1e19, 1e300])
+    def test_far_positions_are_ignored(self, far):
+        # beyond +-2^63, where an int64 cast is undefined
+        pos = np.array([[far, 0.5], [-far, 0.5], [0.5, far], [0.5, -far], [1.5, 0.5]])
+        assert hard_map(pos, G2).values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force(self, seed):
@@ -339,13 +343,14 @@ class TestVarianceGradients:
 
     def test_splat_into_a_given_workspace(self):
         rng = np.random.default_rng(2)
-        work = contrast.SplatWork(G16, 1.0, 50)
+        work = contrast.SplatCache(rng.uniform(-2, 18, (50, 2)), G16, 1.0)
+        values = work.values
         for _ in range(3):
             pos = rng.uniform(-2, 18, (50, 2))
             coef = rng.normal(size=G16.shape)
             fresh = contrast.SplatCache(pos, G16, 1.0)
-            reused = contrast.SplatCache(pos, G16, 1.0, work)
-            assert reused.values is work.values
+            reused = contrast._splat(pos, G16, 1.0, work)
+            assert reused is work and reused.values is values
             assert reused.values.tobytes() == fresh.values.tobytes()
             assert (reused.position_gradient(coef).tobytes()
                     == fresh.position_gradient(coef).tobytes())
@@ -354,8 +359,9 @@ class TestVarianceGradients:
             into = reused.position_gradient(coef, buf)
             assert into.base is buf and into.shape == (50, 2)
             assert into.tobytes() == fresh.position_gradient(coef).tobytes()
-        with pytest.raises(ValueError, match="another geometry or sigma"):
-            contrast.SplatCache(pos, G16, 2.0, work)
+        # its chunk buffers hold at most as many events as the first splat's
+        with pytest.raises(ValueError):
+            work.splat(rng.uniform(-2, 18, (51, 2)))
 
 
 def _separable(grid, taps, mode):
@@ -365,7 +371,7 @@ def _separable(grid, taps, mode):
 
 
 class TestBlur:
-    """SplatWork.blur against a direct separable np.convolve, on square,
+    """SplatCache.blur against a direct separable np.convolve, on square,
     non-square and one-pixel sensors (the passes' transposed intermediate
     has the other orientation from the map it came from)."""
 
@@ -375,7 +381,7 @@ class TestBlur:
     @pytest.mark.parametrize("size", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_separable_convolution(self, size, sigma):
         g = SensorGeometry(*size)
-        work = contrast.SplatWork(g, sigma, 1)
+        work = contrast.SplatCache(np.zeros((1, 2)), g, sigma)
         rng = np.random.default_rng(5)
         votes = rng.normal(size=work.regions[1].shape)
         coef = rng.normal(size=g.shape)
@@ -405,8 +411,9 @@ class TestBlur:
 
 
 class TestHeldTaps:
-    """A splat leaves its last chunk's vote indices and weights in the work;
-    the gradient of the same splat reuses them and recomputes any other chunk."""
+    """A splat leaves its last chunk's vote indices and weights in the cache;
+    the gradient of the same splat reuses them and recomputes any other chunk,
+    and the next splat recomputes them all."""
 
     STEP = contrast._CHUNK_TAPS // 16
 
@@ -418,18 +425,19 @@ class TestHeldTaps:
     def test_gradient_after_another_splat_into_the_work(self, n):
         coef = np.random.default_rng(1).normal(size=G16.shape)
         pos = self._positions(n, 2)
-        work = contrast.SplatWork(G16, 1.0, n)
-        first = contrast.SplatCache(pos, G16, 1.0, work)
-        grad = first.position_gradient(coef).copy()
-        assert first.position_gradient(coef).tobytes() == grad.tobytes()
-        # a second splat overwrites the work's taps; the first cache's
-        # gradient recomputes them
-        second = contrast.SplatCache(self._positions(n, 3), G16, 1.0, work)
+        cache = contrast.SplatCache(pos, G16, 1.0)
+        grad = cache.position_gradient(coef).copy()
+        assert cache.position_gradient(coef).tobytes() == grad.tobytes()
+        # a second splat, after the gradient has left taps held, recomputes
+        # them all; splatting the first positions again restores its gradient
+        other = contrast.SplatCache(self._positions(n, 3), G16, 1.0)
+        assert cache.splat(self._positions(n, 3)) is cache
+        assert cache.values.tobytes() == other.values.tobytes()
+        assert cache.position_gradient(coef).tobytes() == (
+            other.position_gradient(coef).tobytes())
+        cache.splat(pos)
         fresh = contrast.SplatCache(pos, G16, 1.0).position_gradient(coef)
-        assert first.position_gradient(coef).tobytes() == fresh.tobytes() == grad.tobytes()
-        assert second.position_gradient(coef).tobytes() == (
-            contrast.SplatCache(self._positions(n, 3), G16, 1.0).position_gradient(coef)
-            .tobytes())
+        assert cache.position_gradient(coef).tobytes() == fresh.tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("n", [1, STEP, STEP + 1, 3 * STEP])
     def test_only_the_last_chunk_is_held(self, n):
@@ -444,19 +452,6 @@ class TestHeldTaps:
         last = (n - 1) // self.STEP * self.STEP
         assert got[last:].tobytes() == want[last:].tobytes()
         assert not np.any(got[:last] == want[:last])
-
-    def test_a_dropped_cache_is_freed_without_collection(self):
-        work = contrast.SplatWork(G16, 1.0, 50)
-        gc.disable()
-        try:
-            cache = contrast.SplatCache(self._positions(50, 2), G16, 1.0, work)
-            cache.position_gradient(np.ones(G16.shape))
-            # the cache alone holds its positions view
-            alive = weakref.ref(cache.positions)
-            del cache
-            assert alive() is None
-        finally:
-            gc.enable()
 
 
 def test_alignment_raises_smooth_variance_on_synthetic_edge():

@@ -264,6 +264,10 @@ class TestBinary:
         p.write_bytes(data[:-13])
         with pytest.raises(FormatError):
             read_events(p)
+        # a partial record after the promised ones is no more valid
+        p.write_bytes(data + b"junk!")
+        with pytest.raises(FormatError, match="50 events of 26 bytes, the body holds 1305 bytes"):
+            read_events(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.evj"

@@ -353,14 +353,22 @@ class TestSolve:
         assert math.isnan(res.b_ed) and res.final is None
 
     def test_one_splat_workspace_per_window(self, monkeypatch):
-        # b_ed is splatted into the workspace the descent evaluates in
-        built = []
-        real = contrast.SplatWork.__init__
-        monkeypatch.setattr(contrast.SplatWork, "__init__",
-                            lambda self, *a: built.append(a) or real(self, *a))
+        # one kernel per window, whose first splat, of the unwarped events,
+        # is b_ed's; every evaluation re-splats into it
+        built, splats, evaluations = [], [], []
+        real_init, real_splat, real_evaluate = (contrast.SplatCache.__init__,
+                                                contrast.SplatCache.splat, joint._evaluate)
+        monkeypatch.setattr(contrast.SplatCache, "__init__",
+                            lambda self, *a: built.append(a) or real_init(self, *a))
+        monkeypatch.setattr(contrast.SplatCache, "splat",
+                            lambda self, p: splats.append(p) or real_splat(self, p))
+        monkeypatch.setattr(joint, "_evaluate",
+                            lambda *a, **k: evaluations.append(a) or real_evaluate(*a, **k))
         window = random_window(np.random.default_rng(8))
         res = solve(window, JointConfig(iterations=6))
-        assert len(built) == 1
+        unwarped = window.positions.tobytes()
+        assert len(built) == 1 and built[0][0].tobytes() == unwarped
+        assert len(splats) == len(evaluations) + 1 and splats[0].tobytes() == unwarped
         assert res.b_ed == float(np.var(smooth_map(window.positions, G16).values))
 
     @pytest.mark.parametrize("method", ["translation2d", "rotation_inplane", "baf", "cmax-seq"])
@@ -638,14 +646,13 @@ class TestHandover:
         Adam state when resume is set, else restarts from zero moments."""
         model = "translation2d"
         ws = joint._Workspace(window, cfg.sigma)
-        b_ed = joint._denoise_baseline(window, cfg.sigma, ws.splat)
-        theta = joint._guarded_start(window, model, cfg, start, b_ed, ws)
+        theta = joint._guarded_start(window, model, cfg, start, ws)
         theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
                                               theta=theta)
         parts = []
         theta, logits, _, final, _ = _descend(
             window, model, cfg, cfg.iterations, cfg.b_ea.kappa * end.f_ea, ws,
-            np.zeros(window.geometry.shape), _resolve_alpha(cfg), b_ed, theta,
+            np.zeros(window.geometry.shape), _resolve_alpha(cfg), ws.b_ed, theta,
             state if resume else None, lambda it, p: parts.append(p))
         return theta, logits, warm, parts + [final], state
 
@@ -712,11 +719,15 @@ class TestInterpolation:
         val = interpolate_confidence(wts, np.array([[1.0, 1.0]]))
         assert val[0] == pytest.approx(0.5)
 
-    def test_border_clamp(self):
+    @pytest.mark.parametrize("left, right", [(-3.0, 5.0), (-1e19, 1e19), (-1e300, 1e300)])
+    def test_border_clamp(self, left, right):
+        # beyond +-2^63 too, where an int64 cast is undefined
         wts = np.array([[0.25, 0.75], [0.25, 0.75]])
-        val = interpolate_confidence(wts, np.array([[-3.0, 0.5], [5.0, 0.5]]))
+        val = interpolate_confidence(wts, np.array([[left, 0.5], [right, 0.5]]))
         assert val[0] == pytest.approx(0.25)
         assert val[1] == pytest.approx(0.75)
+        assert interpolate_confidence(wts.T, np.array([[0.5, left], [0.5, right]])).tolist() == (
+            val.tolist())
 
 
 def _parts_bytes(trace):
