@@ -99,9 +99,9 @@ def _cmax(window: EventWindow, model: str, cfg: JointConfig,
     `solve`'s warm start run to cfg.iterations, stop_reason and seeded."""
     if len(window) < DEGENERATE_MIN_EVENTS:
         return MotionParams.zero(model), {}
-    ws = _Workspace(window, cfg.sigma)
-    theta = _guarded_start(window, model, cfg, theta, ws)
-    end, _, steps, _, capped = _descend(window, model, cfg, cfg.iterations, 0.0, ws, theta=theta)
+    ws = _Workspace(window, cfg, model)
+    theta = _guarded_start(ws, theta)
+    end, _, steps, _, capped = _descend(ws, cfg.iterations, 0.0, theta=theta)
     return end, {"warm_iterations": steps, "seeded": theta is not None,
                  "stop_reason": "settled" if capped is None else "cap"}
 

@@ -38,6 +38,7 @@ KAPPA_DEFAULT = 1.1
 # Adam's moment decay rates, denominator floor and step sizes (phi in pixels, logits)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 LR_THETA, LR_LOGITS = 0.05, 0.1
+ADAM_MAX_GRAD = 1e150  # the largest |gradient| adam_step takes: its square stays finite
 
 # Stop rule of every descent: every STOP_EVERY steps it stops once phi has
 # moved at most STOP_EVERY * STOP_PX px per axis and no confidence weight
@@ -163,12 +164,14 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update of the float64 array params and of the
-    moments, in place. Returns (params, state with the moments and step)."""
+    moments, in place. Returns (params, state with the moments and step);
+    ValueError if a gradient is NaN or above ADAM_MAX_GRAD in magnitude."""
     grads = np.asarray(grads, dtype=np.float64)
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("non-finite gradient passed to adam_step")
-    step = state.step + 1
     m, v, (a, b) = state.m, state.v, state.scratch
+    if not np.abs(grads, out=a).max() <= ADAM_MAX_GRAD:  # False for NaN too
+        raise ValueError(f"gradient passed to adam_step is NaN or above {ADAM_MAX_GRAD:g} in "
+                         "magnitude; lower the objective's weights")
+    step = state.step + 1
     m *= ADAM_BETA1  # m = beta1 m + (1 - beta1) g
     m += np.multiply(1.0 - ADAM_BETA1, grads, out=a)
     v *= ADAM_BETA2  # v = beta2 v + (1 - beta2) g g
@@ -217,22 +220,24 @@ def _resolve_alpha(cfg: JointConfig) -> float:
 
 
 class _Workspace:
-    """What every evaluation on one window writes into or reuses: the splat
-    kernel (within contrast.WORKSPACE_LIMIT_BYTES), built by splatting the
-    unwarped positions, whose map's variance is the window's b_ed; seven
-    H x W maps; the theta-free warp inputs (positions, time offsets,
-    rotation center); and the warped positions and their gradient: 56 bytes
-    per event. `solve` builds one per non-degenerate window; it is dropped
-    with that call."""
+    """One window's solve. It holds fixed the window, config, model, resolved
+    alpha, span (duration, 1 s if zero), theta-free warp inputs (positions,
+    time offsets, rotation center) and b_ed, the variance of the splat
+    kernel's first map, the unwarped positions'; every evaluation reuses the
+    kernel (within contrast.WORKSPACE_LIMIT_BYTES), five H x W maps, and the
+    warped positions and their gradient: 56 bytes per event. `solve` builds
+    one per non-degenerate window; it is dropped with that call."""
 
-    def __init__(self, window: EventWindow, sigma: float):
+    def __init__(self, window: EventWindow, cfg: JointConfig, model: str):
+        self.window, self.cfg, self.model = window, cfg, model
+        self.alpha = _resolve_alpha(cfg)
+        self.span = (window.t_end - window.t_start) or 1.0  # EventWindow keeps t_end >= t_start
         self.positions = window.positions
-        self.splat = _splat(self.positions, window.geometry, sigma)
+        self.splat = _splat(self.positions, window.geometry, cfg.sigma)
         self.b_ed = float(np.var(self.splat.values))
         self.dt = window.times - window.t_ref
         self.center = _rotation_center(window)
-        (self.dev, self.wts, self.adev, self.resid, self.coef, self.dlogits,
-         self.tmp) = np.empty((7,) + window.geometry.shape)
+        self.dev, self.wts, self.adev, self.resid, self.tmp = np.empty((5,) + window.geometry.shape)
         self.warped, self.dpos = np.empty((len(window), 2)), np.empty((2, len(window)))
 
 
@@ -242,11 +247,11 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
 
     With logits=None only the alignment regret b_ea - f_ea is evaluated
     (worst_regret and total equal it): the denoising parts are NaN, alpha and
-    b_ed are unused, and there is no logit gradient. It writes into ws (a
-    fresh _Workspace when None), where its arrays last until the next call.
+    b_ed are unused, and there is no logit gradient. Its arrays live in ws's
+    five maps (a fresh _Workspace when None) until the next call; dlogits is ws.adev.
     """
     if ws is None:
-        ws = _Workspace(window, cfg.sigma)
+        ws = _Workspace(window, cfg, theta.model)
     cache = _splat(warp_positions(ws.positions, ws.dt, theta, ws.center, ws.warped),
                    window.geometry, cfg.sigma, ws.splat)
     m, tmp = cache.values, ws.tmp
@@ -277,11 +282,11 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
     if not want_grads:
         return parts, None, None
 
-    coef = np.multiply(-(2.0 * (1.0 - w_ed) / n_pix), dev, out=ws.coef)  # -(2 w_ea / n) dev
+    coef = np.multiply(-(2.0 * (1.0 - w_ed) / n_pix), dev, out=dev)  # -(2 w_ea / n) dev
     dlogits = None
     if logits is not None:
         # dlog_r = (2 w_ed / n) (a - mu_w) m; its coef term has wts for m
-        dlogits = np.multiply(2.0 * w_ed / n_pix, adev, out=ws.dlogits)
+        dlogits = np.multiply(2.0 * w_ed / n_pix, adev, out=adev)
         coef += np.multiply(dlogits, wts, out=tmp)
         dlogits *= m
         # coef + 2 beta (wts - 1) resid; (dlog_r + alpha + 2 beta resid m) wts (1 - wts)
@@ -302,9 +307,9 @@ def _evaluate_explicit(window: EventWindow, theta: MotionParams, conf: Confidenc
     if not isinstance(cfg.b_ea, ExplicitBaseline):
         raise ValueError("objective evaluation needs an explicit alignment baseline; "
                          "solve() resolves warm-started baselines before optimizing")
-    ws = _Workspace(window, cfg.sigma)
-    return _evaluate(window, theta, conf.logits, cfg, _resolve_alpha(cfg), float(cfg.b_ea.value),
-                     ws.b_ed, want_grads, ws)
+    ws = _Workspace(window, cfg, theta.model)
+    return _evaluate(window, theta, conf.logits, cfg, ws.alpha, float(cfg.b_ea.value), ws.b_ed,
+                     want_grads, ws)
 
 
 def objective(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
@@ -320,37 +325,35 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
     return dtheta, dlogits
 
 
-def _guarded_start(window: EventWindow, model: str, cfg: JointConfig, start: MotionParams | None,
-                   ws: _Workspace) -> MotionParams | None:
-    """start if its alignment variance f_ea is strictly above the window's
-    b_ed in ws, f_ea at zero motion, else None (descend from zero motion).
+def _guarded_start(ws: _Workspace, start: MotionParams | None) -> MotionParams | None:
+    """start if its alignment variance f_ea on ws's window is strictly above
+    ws.b_ed, f_ea at zero motion, else None (descend from zero motion).
     One evaluation in ws, without gradients; none when start is None."""
     if start is None:
         return None
-    if start.model != model:
-        raise ValueError(f"start is a {start.model} motion, the solve's model is {model}")
-    f_start = _evaluate(window, start, None, cfg, math.nan, 0.0, math.nan, False, ws)[0].f_ea
+    if start.model != ws.model:
+        raise ValueError(f"start is a {start.model} motion, the solve's model is {ws.model}")
+    f_start = _evaluate(ws.window, start, None, ws.cfg, ws.alpha, 0.0, ws.b_ed, False, ws)[0].f_ea
     return start if f_start > ws.b_ed else None
 
 
-def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int, b_ea: float,
-             ws: _Workspace, logits: np.ndarray | None = None, alpha: float = math.nan,
-             b_ed: float = math.nan, theta: MotionParams | None = None,
-             state: AdamState | None = None, on_step=None):
-    """Full-batch Adam descent on the objective from theta (zero motion if
-    None), for at most `iterations` steps.
+def _descend(ws: _Workspace, iterations: int, b_ea: float, logits: np.ndarray | None = None,
+             theta: MotionParams | None = None, state: AdamState | None = None, on_step=None):
+    """Full-batch Adam descent on ws's objective (its window, config, model,
+    alpha and b_ed) from theta (zero motion if None), at most `iterations` steps.
 
-    Steps phi = theta * span (pixels across the window; span 1 s if zero) at
-    LR_THETA, whatever the window duration or the motion's magnitude. With
+    Steps phi = theta * ws.span (pixels across the window) at LR_THETA,
+    whatever the window duration or the motion's magnitude. With
     logits=None only the alignment regret b_ea - f_ea is descended (f_ea
     ascends); otherwise the logits step at LR_LOGITS after phi. Every
     STOP_EVERY steps the point just evaluated is compared with the previous
     check's: once phi moved at most STOP_EVERY * STOP_PX px per axis and no
     weight more than STOP_WEIGHT, it is the end point. The rule reads neither
-    the objective nor the gradients. Each evaluation runs in ws and each step
-    updates copies of phi and logits in place. At the cap the end point is
-    evaluated once more without gradients; either way its warped positions
-    and weights are left in ws.warped and ws.wts. phi's Adam moments and
+    the objective nor the gradients. Each evaluation runs in ws's five maps
+    (dlogits lives in ws.adev until the next) and each step updates copies
+    of phi and logits in place. At the cap the end point is evaluated once
+    more without gradients; either way its warped positions and weights are
+    left in ws.warped and ws.wts. phi's Adam moments and
     step count start from `state` (zeros when None), which the descent
     updates in place, so a descent that resumes another's carries on its
     bias correction. on_step(it, parts), if given, is called with each
@@ -360,8 +363,7 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     descent has no motion left to hand on); NonFiniteObjective if any
     evaluation's total is not finite.
     """
-    span = (window.t_end - window.t_start) or 1.0  # EventWindow keeps t_end >= t_start
-    phi = np.zeros(model_dim(model)) if theta is None else theta.values * span
+    phi = np.zeros(model_dim(ws.model)) if theta is None else theta.values * ws.span
     phi_then, wts_then = phi.copy(), None
     if logits is not None:
         logits = np.array(logits, dtype=np.float64)
@@ -369,9 +371,9 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
     state_phi = AdamState.zeros_like(phi) if state is None else state
     state_log = None if logits is None else AdamState.zeros_like(logits)
     for it in range(iterations + 1):
-        theta = MotionParams(model, phi / span)
-        parts, dtheta, dlogits = _evaluate(window, theta, logits, cfg, alpha, b_ea, b_ed,
-                                           want_grads=it < iterations, ws=ws)
+        theta = MotionParams(ws.model, phi / ws.span)
+        parts, dtheta, dlogits = _evaluate(ws.window, theta, logits, ws.cfg, ws.alpha, b_ea,
+                                           ws.b_ed, want_grads=it < iterations, ws=ws)
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         if it == iterations:
@@ -387,7 +389,7 @@ def _descend(window: EventWindow, model: str, cfg: JointConfig, iterations: int,
                 wts_then[...] = ws.wts
         if on_step is not None:
             on_step(it, parts)
-        phi, state_phi = adam_step(phi, dtheta / span, state_phi, LR_THETA)
+        phi, state_phi = adam_step(phi, dtheta / ws.span, state_phi, LR_THETA)
         if logits is not None:
             logits, state_log = adam_step(logits, dlogits, state_log, LR_LOGITS)
 
@@ -420,7 +422,6 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     on_step, if given, sees the joint phase's steps as `_descend` takes them.
     Deterministic: the solver is full-batch.
     """
-    alpha = _resolve_alpha(cfg)
     if len(window) < DEGENERATE_MIN_EVENTS:
         warnings.warn(
             f"window with {len(window)} events is too small to optimize; "
@@ -429,23 +430,21 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
         )
         blank = ConfidenceMap.from_weights_mask(np.zeros(window.geometry.shape, dtype=bool))
         return JointResult(MotionParams.zero(model), blank, np.zeros(len(window), dtype=bool),
-                           np.zeros(len(window)), alpha=alpha)
+                           np.zeros(len(window)), alpha=_resolve_alpha(cfg))
 
-    ws = _Workspace(window, cfg.sigma)
-    theta = seed = _guarded_start(window, model, cfg, start, ws)
+    ws = _Workspace(window, cfg, model)
+    theta = seed = _guarded_start(ws, start)
     warm, state = 0, None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
-                                              theta=theta)
+        theta, _, warm, end, state = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
     theta, logits, steps, final, capped = _descend(
-        window, model, cfg, cfg.iterations, b_ea, ws, np.zeros(window.geometry.shape), alpha,
-        ws.b_ed, theta, state, on_step)
+        ws, cfg.iterations, b_ea, np.zeros(window.geometry.shape), theta, state, on_step)
     confidence = interpolate_confidence(ws.wts, ws.warped)
     return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
-                       iterations=steps, final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=alpha,
+                       iterations=steps, final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=ws.alpha,
                        stop_reason="settled" if capped is None else "cap",
                        warm_iterations=warm, seeded=seed is not None,
                        resumed=state is not None)

@@ -139,10 +139,12 @@ def _pattern_emitters(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _axis_crossings(q0: np.ndarray, v: float, duration: float) -> tuple[np.ndarray, np.ndarray]:
     """(emitter index, time) of each integer crossing of q0 + v t in (0, duration]."""
+    if v == 0.0:  # none; past 2**53 the lattice below would find one, at time 0 / 0
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     q1 = q0 + float(v) * duration  # a Python float overflows to inf silently
     if v > 0.0:
         first, last = np.floor(q0) + 1.0, np.floor(q1)
-    else:  # v == 0 gives last < first: no crossings
+    else:
         first, last = np.ceil(q1), np.ceil(q0) - 1.0
     counts = np.maximum(last - first + 1.0, 0.0)
     total = counts.sum()

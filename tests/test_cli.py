@@ -149,6 +149,17 @@ class TestPipeline:
         assert err.startswith("evjoint: error: non-finite objective at iteration 0")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--alpha=1e200", "--beta=1e300"])
+    def test_gradient_too_large_for_adam_exits_two(self, synth_file, tmp_path, capsys, flag):
+        # finite weights whose logit gradient Adam cannot square: its second
+        # moment would overflow to inf and freeze every weight at 0.5
+        out = tmp_path / "o.evj"
+        assert run("denoise", "-i", str(synth_file), "-o", str(out), flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evjoint: error: gradient passed to adam_step is NaN or above")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--b-ea=1", "--alpha=1e308"], ["--alpha=1e308"]],
                              ids=["explicit-b-ea", "warm-start"])
     def test_nonfinite_end_objective_exits_two(self, synth_file, tmp_path, capsys, flags):
@@ -605,10 +616,12 @@ class TestSynthPatternBound:
         (["--pattern", "multi-edge", "--spacing", "1e-7"], "8.19e+10 emitters, above the limit"),
         (["--pattern", "vertical-edge", "--x0", "inf"], "edge column must be finite"),
         (["--pattern", "dot", "--center", "inf,3"], "dot center must be finite"),
+        # a still axis past 2**53, where ceil(q) - 1 == ceil(q)
+        (["--pattern", "dot", "--center", "30,1e16"], "produces no events inside the sensor"),
         (["--pattern", "dot", "--center", "30,30", "--radius", "5", "--geometry", "64x64",
           "--motion", "20,0", "--noise-rate", "0.9999999999"], "noise events, above the limit"),
     ], ids=["dot-radius-inf", "dot-radius-1e12", "multi-edge-spacing-1e-7",
-            "vertical-edge-x0-inf", "dot-center-inf", "noise-rate-near-1"])
+            "vertical-edge-x0-inf", "dot-center-inf", "dot-center-far", "noise-rate-near-1"])
     def test_unbounded_pattern_exits_two(self, tmp_path, argv, message):
         proc = TestSensorSizeBound._run_limited(tmp_path, "synth", *argv, "-o", "x.evj")
         assert proc.returncode == 2, proc.stderr

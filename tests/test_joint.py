@@ -10,7 +10,7 @@ import evjoint.contrast as contrast
 import evjoint.joint as joint
 from evjoint.baselines import cmax_solve
 from evjoint.contrast import ConfidenceMap, sigmoid, smooth_map
-from evjoint.events import Events, EventWindow, SensorGeometry
+from evjoint.events import Events, EventWindow, FixedDuration, SensorGeometry, window_stream
 from evjoint.joint import (
     KAPPA_DEFAULT,
     AdamState,
@@ -82,9 +82,12 @@ class TestAdam:
         want, _ = adam_step(params.copy(), g, AdamState.zeros_like(params), lr=0.1)
         assert got.tobytes() == want.tobytes() and state.step == 1
 
-    def test_nonfinite_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            adam_step(np.zeros(1), np.array([np.nan]), AdamState.zeros_like(np.zeros(1)), 0.1)
+    @pytest.mark.parametrize("grad", [np.nan, np.inf, -1e200])
+    def test_nonfinite_gradient_rejected(self, grad):
+        # 1e200 is finite, but its square would overflow the second moment to
+        # inf, and every step would then be lr * m_hat / inf = 0
+        with pytest.raises(ValueError, match="adam_step"):
+            adam_step(np.zeros(1), np.array([grad]), AdamState.zeros_like(np.zeros(1)), 0.1)
 
     def test_matches_out_of_place_update_bitwise(self):
         # the in-place update keeps every operation of the textbook form
@@ -355,16 +358,8 @@ class TestSolve:
     def test_one_splat_workspace_per_window(self, monkeypatch):
         # one kernel per window, whose first splat, of the unwarped events,
         # is b_ed's; every evaluation re-splats into it
-        built, splats, evaluations = [], [], []
-        real_init, real_splat, real_evaluate = (contrast.SplatCache.__init__,
-                                                contrast.SplatCache.splat, joint._evaluate)
-        monkeypatch.setattr(contrast.SplatCache, "__init__",
-                            lambda self, *a: built.append(a) or real_init(self, *a))
-        monkeypatch.setattr(contrast.SplatCache, "splat",
-                            lambda self, p: splats.append(p) or real_splat(self, p))
-        monkeypatch.setattr(joint, "_evaluate",
-                            lambda *a, **k: evaluations.append(a) or real_evaluate(*a, **k))
         window = random_window(np.random.default_rng(8))
+        built, splats, evaluations = _count_work(monkeypatch)
         res = solve(window, JointConfig(iterations=6))
         unwarped = window.positions.tobytes()
         assert len(built) == 1 and built[0][0].tobytes() == unwarped
@@ -644,15 +639,12 @@ class TestHandover:
     def _chain(window, cfg, resume, start=None):
         """solve's two descents called by hand; the second resumes the first's
         Adam state when resume is set, else restarts from zero moments."""
-        model = "translation2d"
-        ws = joint._Workspace(window, cfg.sigma)
-        theta = joint._guarded_start(window, model, cfg, start, ws)
-        theta, _, warm, end, state = _descend(window, model, cfg, cfg.iterations // 2, 0.0, ws,
-                                              theta=theta)
+        ws = joint._Workspace(window, cfg, "translation2d")
+        theta = joint._guarded_start(ws, start)
+        theta, _, warm, end, state = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
         parts = []
         theta, logits, _, final, _ = _descend(
-            window, model, cfg, cfg.iterations, cfg.b_ea.kappa * end.f_ea, ws,
-            np.zeros(window.geometry.shape), _resolve_alpha(cfg), ws.b_ed, theta,
+            ws, cfg.iterations, cfg.b_ea.kappa * end.f_ea, np.zeros(window.geometry.shape), theta,
             state if resume else None, lambda it, p: parts.append(p))
         return theta, logits, warm, parts + [final], state
 
@@ -695,11 +687,15 @@ class TestHandover:
         assert not state.m.any() and not state.v.any()
         assert self._same(solved, restarted)
 
-    def test_criterion_2_scene_takes_fewer_steps(self):
-        # with the restarted joint phase: 150 + 300 steps (452 evaluations)
+    @staticmethod
+    def _criterion_2_window():
         spec = SceneSpec(SensorGeometry(64, 64), MultiEdge(6.5),
                          MotionParams.translation(30.0, -10.0), 0.1)
-        window, _, truth = generate(spec, seed=1)
+        return generate(spec, seed=1)
+
+    def test_criterion_2_scene_takes_fewer_steps(self):
+        # with the restarted joint phase: 150 + 300 steps (452 evaluations)
+        window, _, truth = self._criterion_2_window()
         res = solve(window, JointConfig())
         assert res.resumed
         assert res.warm_iterations + res.iterations <= 300
@@ -730,6 +726,70 @@ class TestInterpolation:
             val.tolist())
 
 
+def _count_work(monkeypatch):
+    """Lists that record, from now on, the args of every SplatCache built, the
+    positions of every splat (the first one of each SplatCache included) and
+    the args of every _evaluate call."""
+    built, splats, evaluations = [], [], []
+    real_init, real_splat, real_evaluate = (contrast.SplatCache.__init__,
+                                            contrast.SplatCache.splat, joint._evaluate)
+    monkeypatch.setattr(contrast.SplatCache, "__init__",
+                        lambda self, *a: built.append(a) or real_init(self, *a))
+    monkeypatch.setattr(contrast.SplatCache, "splat",
+                        lambda self, p: splats.append(p) or real_splat(self, p))
+    monkeypatch.setattr(joint, "_evaluate",
+                        lambda *a, **k: evaluations.append(a) or real_evaluate(*a, **k))
+    return built, splats, evaluations
+
+
+def _criterion_2_cmax():
+    window = TestHandover._criterion_2_window()[0]
+    return lambda: cmax_solve(window, "translation2d", JointConfig())
+
+
+def _criterion_2_joint():
+    window = TestHandover._criterion_2_window()[0]
+    return lambda: solve(window, JointConfig())
+
+
+def _seeded_stream():
+    # two 0.1 s windows, the second seeded with the first's motion (and taking it)
+    spec = SceneSpec(SensorGeometry(48, 48), Dot((16.0, 24.0), 6.0),
+                     MotionParams.translation(40.0, 20.0), 0.2, noise_rate=0.1)
+    first, second = window_stream(generate(spec, seed=4)[0].events, spec.geometry,
+                                  FixedDuration(0.1))
+    return lambda: solve(second, JointConfig(), start=solve(first, JointConfig()).theta)
+
+
+def _rotation():
+    spec = SceneSpec(SensorGeometry(32, 32), Dot((12.0, 16.0), 4.0),
+                     MotionParams.translation(30.0, 10.0), 0.2, noise_rate=0.1)
+    window = generate(spec, seed=3)[0]
+    return lambda: solve(window, JointConfig(), model="rotation_inplane")
+
+
+# The work ledger: on fixed scenes, the solver's _evaluate calls and splats
+# (each SplatCache's first included) may not exceed these ceilings, the
+# counts when the ledger was set up. A change that lowers a count lowers its
+# ceiling; raising a ceiling loosens the bound.
+WORK_LEDGER = {
+    "criterion-2-cmax": (_criterion_2_cmax, 161, 162),
+    "criterion-2-joint": (_criterion_2_joint, 292, 293),
+    "seeded-stream": (_seeded_stream, 805, 807),
+    "rotation": (_rotation, 422, 423),
+}
+
+
+@pytest.mark.parametrize("scene", list(WORK_LEDGER))
+def test_work_ledger(monkeypatch, scene):
+    build, max_evaluations, max_splats = WORK_LEDGER[scene]
+    run = build()
+    _, splats, evaluations = _count_work(monkeypatch)
+    run()
+    assert len(evaluations) <= max_evaluations, f"{len(evaluations)} evaluations"
+    assert len(splats) <= max_splats, f"{len(splats)} splats"
+
+
 def _parts_bytes(trace):
     return [np.array(dataclasses.astuple(p)).tobytes() for p in trace]
 
@@ -751,13 +811,16 @@ class TestWorkspaceReuse:
     ITERS = 12
 
     def _descend_both(self, monkeypatch, window, b_ea, b_ed, logits, model="translation2d"):
-        cfg = JointConfig()
-
+        """Descend twice, every evaluation in one workspace and then each in a
+        fresh one. b_ed, if not None, replaces the window's own on the
+        workspace, so that b_ea and b_ed together pick the active regret."""
         def descend():
             trace = []
+            ws = joint._Workspace(window, JointConfig(), model)
+            if b_ed is not None:
+                ws.b_ed = b_ed
             theta, out_logits, steps, end, _ = _descend(
-                window, model, cfg, self.ITERS, b_ea, joint._Workspace(window, cfg.sigma),
-                logits, _resolve_alpha(cfg), b_ed, on_step=lambda it, p: trace.append(p))
+                ws, self.ITERS, b_ea, logits, on_step=lambda it, p: trace.append(p))
             assert steps == len(trace)
             return theta, out_logits, trace, end
 
@@ -805,7 +868,7 @@ class TestWorkspaceReuse:
                            model="rotation_inplane")
 
     def test_alignment_only(self, monkeypatch):
-        trace = self._descend_both(monkeypatch, self._window(150), 0.0, math.nan, None)
+        trace = self._descend_both(monkeypatch, self._window(150), 0.0, None, None)
         assert all(math.isnan(p.f_ed) for p in trace)
 
     def test_alignment_branch(self, monkeypatch):
@@ -837,16 +900,15 @@ def test_descend_end_is_evaluate_at_returned_point(model, joint_mode):
     # logits, and the warm start's theta carries into a further descent
     window = TestWorkspaceReuse._window(150)
     cfg = JointConfig()
-    alpha, b_ed = _resolve_alpha(cfg), joint._denoise_baseline(window, cfg.sigma)
     logits = np.zeros((20, 24)) if joint_mode else None
-    ws = joint._Workspace(window, cfg.sigma)
-    start, _, _, _, _ = _descend(window, model, cfg, 5, 0.0, ws)
-    theta, out_logits, steps, end, _ = _descend(window, model, cfg, 7, 0.5, ws, logits, alpha,
-                                                b_ed, start)
+    ws = joint._Workspace(window, cfg, model)
+    start, _, _, _, _ = _descend(ws, 5, 0.0)
+    theta, out_logits, steps, end, _ = _descend(ws, 7, 0.5, logits, start)
     assert steps == 7 and theta.model == model
     assert (out_logits is None) == (not joint_mode)
     warped = ws.warped.copy()
-    want, _, _ = _evaluate(window, theta, out_logits, cfg, alpha, 0.5, b_ed, want_grads=False)
+    want, _, _ = _evaluate(window, theta, out_logits, cfg, _resolve_alpha(cfg), 0.5,
+                           joint._denoise_baseline(window, cfg.sigma), want_grads=False)
     assert _parts_bytes([end]) == _parts_bytes([want])
     # solve samples the labels at the warped positions the end evaluation leaves
     assert warped.tobytes() == warp(window, theta).tobytes()
@@ -870,8 +932,7 @@ def test_descent_steps_fault_in_few_pages(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(joint, "_evaluate", counted)
-    _descend(window, "translation2d", cfg, 55, 0.5, joint._Workspace(window, cfg.sigma),
-             np.zeros((96, 96)), _resolve_alpha(cfg), joint._denoise_baseline(window, cfg.sigma))
+    _descend(joint._Workspace(window, cfg, "translation2d"), 55, 0.5, np.zeros((96, 96)))
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     per_step = (faults[-1] - faults[5]) / 50
     assert per_step <= 25, f"{per_step:.1f} minor page faults per descent step"
@@ -885,7 +946,7 @@ def test_evaluation_allocates_no_map_sized_arrays():
     # arithmetic allocates a map. numpy's ~128 KB ufunc buffer fits under it.
     window = TestWorkspaceReuse._window(900, width=256, height=256)
     cfg = JointConfig()
-    ws = joint._Workspace(window, cfg.sigma)
+    ws = joint._Workspace(window, cfg, "translation2d")
     args = (window, MotionParams.translation(3.0, -2.0), np.full((256, 256), 0.5), cfg,
             _resolve_alpha(cfg), 0.5, 0.0, True, ws)
     _evaluate(*args)
@@ -918,9 +979,7 @@ def test_descent_steps_allocate_no_per_event_arrays(monkeypatch):
     monkeypatch.setattr(joint, "_evaluate", counted)
     tracemalloc.start()
     try:
-        _descend(window, "translation2d", cfg, 25, 0.5, joint._Workspace(window, cfg.sigma),
-                 np.zeros((32, 32)), _resolve_alpha(cfg),
-                 joint._denoise_baseline(window, cfg.sigma))
+        _descend(joint._Workspace(window, cfg, "translation2d"), 25, 0.5, np.zeros((32, 32)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
