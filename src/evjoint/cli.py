@@ -59,12 +59,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_geometry(text: str) -> SensorGeometry:
+def _geometry(flag: str | None, stored=None, missing: str = "") -> SensorGeometry:
+    """A stream's stored geometry, else --geometry's WxH, else CliError(missing)."""
+    if stored is not None:
+        return stored
+    if flag is None:
+        raise CliError(missing)
     try:
-        w, h = text.lower().split("x")
+        w, h = flag.lower().split("x")
         return SensorGeometry(int(w), int(h))
     except (ValueError, TypeError) as exc:
-        raise CliError(f"bad --geometry {text!r}, expected WxH (e.g. 64x64): {exc}") from None
+        raise CliError(f"bad --geometry {flag!r}, expected WxH (e.g. 64x64): {exc}") from None
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -86,13 +91,10 @@ def _sidecar(path, command: str, args: argparse.Namespace, extra: dict) -> None:
     side.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_stream(path, geometry_flag: str | None, sort: bool):
-    loaded = read_events(path, sort=sort)
-    geometry = loaded.geometry
-    if geometry is None:
-        if geometry_flag is None:
-            raise CliError(f"{path} carries no geometry; pass --geometry WxH")
-        geometry = _parse_geometry(geometry_flag)
+def _load_stream(args: argparse.Namespace):
+    loaded = read_events(args.input, sort=args.sort)
+    geometry = _geometry(args.geometry, loaded.geometry,
+                         f"{args.input} carries no geometry; pass --geometry WxH")
     return loaded.events, loaded.labels, geometry
 
 
@@ -140,8 +142,6 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=float, default=JointConfig().tau)
     parser.add_argument("--window-ms", type=float, default=None)
     parser.add_argument("--window-count", type=int, default=None)
-    parser.add_argument("--sort", action="store_true",
-                        help="sort events by time instead of rejecting unsorted input")
     parser.add_argument("--log", choices=("text", "json"), default="text",
                         help="per-step trace on stdout: json prints one object per joint-phase "
                              "step as it is taken, text prints none")
@@ -154,7 +154,7 @@ def _solve_windows(args: argparse.Namespace, method):
     if a solver produced it (None for the first window and after a
     degenerate or solver-free one); the method guards it. on_step prints a
     joint-phase step's `--log json` line as it is taken (None under text)."""
-    events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
+    events, _, geometry = _load_stream(args)
     windows = _make_windows(events, geometry, args.window_ms, args.window_count)
 
     def solved():
@@ -164,9 +164,7 @@ def _solve_windows(args: argparse.Namespace, method):
                 print(json.dumps({"window": i, "iter": k, "f_ea": p.f_ea, "f_ed": p.f_ed,
                                   "r_ea": p.r_ea, "r_ed": p.r_ed,
                                   "worst_regret": p.worst_regret, "total": p.total}))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # degenerate windows
-                res = method(w, start, printed if args.log == "json" else None)
+            res = method(w, start, printed if args.log == "json" else None)
             steps = ""
             if res.stop_reason is not None:  # a solver ran: its steps and where it began
                 # the warm start's own stop; none shown when an explicit b_ea skipped it
@@ -201,7 +199,7 @@ def _window_record(w: EventWindow, res: JointResult) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    geometry = _parse_geometry(args.geometry)
+    geometry = _geometry(args.geometry)
     vx, vy = _parse_pair(args.motion, "--motion")
     if args.pattern == "vertical-edge":
         pattern = VerticalEdge(args.x0)
@@ -295,6 +293,11 @@ def _read_trajectory(path) -> list[tuple[float, np.ndarray]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    given = {k for k, v in vars(args).items() if v is not None and v is not False}
+    for flag, partner in (("truth", "pred"), ("esr", "pred"), ("m_ref", "esr"),
+                          ("rmse", "gt"), ("gt", "rmse")):
+        if flag in given and partner not in given:
+            raise CliError(f"--{flag.replace('_', '-')} needs --{partner}")
     report: dict = {}
     if args.pred is not None:
         pred = read_events(args.pred)
@@ -315,11 +318,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             report["counts"] = {"tp": c.counts.tp, "fn": c.counts.fn,
                                 "tn": c.counts.tn, "fp": c.counts.fp}
         if args.esr:
-            geometry = pred.geometry
-            if geometry is None:
-                if args.geometry is None:
-                    raise CliError("ESR needs geometry; pass --geometry WxH")
-                geometry = _parse_geometry(args.geometry)
+            geometry = _geometry(args.geometry, pred.geometry,
+                                 "ESR needs geometry; pass --geometry WxH")
             kept = pred.events.positions[pred.labels]
             m_ref = args.m_ref if args.m_ref is not None else max(1, kept.shape[0])
             with warnings.catch_warnings():
@@ -327,8 +327,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 report["esr"] = esr(kept, geometry, m_ref)
             report["esr_m_ref"] = m_ref
     if args.rmse is not None:
-        if args.gt is None:
-            raise CliError("--rmse needs --gt with the ground-truth trajectory")
         est = _read_trajectory(args.rmse)
         gt = _read_trajectory(args.gt)
         report["rmse"] = motion_rmse(est, gt)
@@ -346,7 +344,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     if Path(args.output).suffix.lower() != ".pgm":
         raise CliError(f"render writes PGM images; give -o a .pgm path, not {args.output!r}")
-    events, _, geometry = _load_stream(args.input, args.geometry, args.sort)
+    events, _, geometry = _load_stream(args)
     t0 = float(events.t[0]) if len(events) else 0.0
     t1 = float(events.t[-1]) if len(events) else 0.0
     window = EventWindow(events, geometry, t0, t1, 0.5 * (t0 + t1))
@@ -394,24 +392,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help="recorded in the sidecar only")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("denoise", help="label events signal/noise and write them back")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    # the flags of every command that reads one stream and writes one file
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("-i", "--input", required=True)
+    stream.add_argument("-o", "--output", required=True)
+    stream.add_argument("--geometry", default=None, help="WxH, required for CSV input")
+    stream.add_argument("--sort", action="store_true",
+                        help="sort events by time instead of rejecting unsorted input")
+
+    p = sub.add_parser("denoise", parents=[stream],
+                       help="label events signal/noise and write them back")
     p.add_argument("--method", choices=("joint", "baf", "cmax-seq"), default="joint")
-    p.add_argument("--geometry", default=None, help="WxH, required for CSV input")
-    p.add_argument("--baf-dt-max", type=float, default=10.0, help="BAF time support, ms")
-    p.add_argument("--baf-radius", type=int, default=1)
-    p.add_argument("--baf-min-support", type=int, default=1)
+    baf = BafConfig()
+    p.add_argument("--baf-dt-max", type=float, default=baf.dt_max * 1000.0,
+                   help="BAF time support, ms")
+    p.add_argument("--baf-radius", type=int, default=baf.radius)
+    p.add_argument("--baf-min-support", type=int, default=baf.min_support)
     _add_joint_flags(p)
     p.add_argument("--seed", type=int, default=0, help="recorded in the sidecar only")
     p.add_argument("--threads", type=int, default=1, help="recorded in the sidecar only")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("estimate-motion", help="per-window motion estimates to CSV")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p = sub.add_parser("estimate-motion", parents=[stream],
+                       help="per-window motion estimates to CSV")
     p.add_argument("--method", choices=("joint", "cmax"), default="joint")
-    p.add_argument("--geometry", default=None)
     _add_joint_flags(p)
     p.set_defaults(func=cmd_estimate_motion)
 
@@ -426,18 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("render", help="accumulate events into an image")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p = sub.add_parser("render", parents=[stream], help="accumulate events into an image")
     motion = p.add_mutually_exclusive_group()
     motion.add_argument("--theta", default=None,
                         help="warp with this translation vx,vy before rendering")
     motion.add_argument("--omega", type=float, default=None,
                         help="warp with this in-plane rotation rad/s")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=JointConfig().sigma)
     p.add_argument("--hard", action="store_true", help="per-pixel counts instead of smooth mass")
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--sort", action="store_true")
     p.set_defaults(func=cmd_render)
 
     return parser

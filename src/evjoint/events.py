@@ -383,7 +383,8 @@ def window_stream(events: Events, geometry: SensorGeometry, policy) -> list[Even
         idx = np.floor((events.t - t0) / policy.seconds).astype(np.int64)
         starts = np.flatnonzero(np.diff(idx, prepend=-1))  # idx is non-decreasing
     elif isinstance(policy, FixedCount):
-        starts = np.arange(0, len(events), policy.count)
+        # a count past the stream's length is one window, and no step overflows int64
+        starts = np.arange(0, len(events), min(policy.count, len(events)))
     else:
         raise TypeError(f"unknown windowing policy {policy!r}")
     bounds = np.append(starts, len(events))

@@ -12,7 +12,6 @@ updated with a hand-rolled bias-corrected Adam.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -418,16 +417,12 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     warped position, both of which the joint phase's end evaluation leaves
     in the workspace; it is signal when that reaches tau. A window of fewer
     than DEGENERATE_MIN_EVENTS events gets zero motion, an all-noise map,
-    confidence 0 and NaN b_ed, and allocates no maps.
+    confidence 0, NaN b_ed and stop_reason None, and allocates no maps; the
+    result states the case, so no warning is raised.
     on_step, if given, sees the joint phase's steps as `_descend` takes them.
     Deterministic: the solver is full-batch.
     """
     if len(window) < DEGENERATE_MIN_EVENTS:
-        warnings.warn(
-            f"window with {len(window)} events is too small to optimize; "
-            "returning zero motion and all-noise labels",
-            stacklevel=2,
-        )
         blank = ConfidenceMap.from_weights_mask(np.zeros(window.geometry.shape, dtype=bool))
         return JointResult(MotionParams.zero(model), blank, np.zeros(len(window), dtype=bool),
                            np.zeros(len(window)), alpha=_resolve_alpha(cfg))

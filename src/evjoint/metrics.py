@@ -82,9 +82,14 @@ def motion_rmse(estimated, truth) -> float:
     """RMSE between estimated per-window motion and a ground-truth trajectory.
 
     ``estimated`` and ``truth`` are sequences of (time, parameter-vector)
-    pairs; the truth is linearly interpolated at each estimate's time and
-    must cover the estimated time span.
+    pairs; the truth is linearly interpolated at each estimate's time, must
+    cover the estimated time span and may not repeat a time. The RMSE is
+    math.hypot of every per-axis difference scaled by 1/sqrt(n), so it does
+    not overflow while the result is finite; a non-finite result (a NaN or
+    infinite value, or a difference too large) raises ValueError.
     """
+    import math
+
     est = [(float(t), np.atleast_1d(np.asarray(v, dtype=np.float64))) for t, v in estimated]
     gt = [(float(t), np.atleast_1d(np.asarray(v, dtype=np.float64))) for t, v in truth]
     if not est:
@@ -97,10 +102,18 @@ def motion_rmse(estimated, truth) -> float:
     gt_sorted = sorted(gt, key=lambda tv: tv[0])
     gt_t = np.array([t for t, _ in gt_sorted])
     gt_v = np.stack([v for _, v in gt_sorted])
-    sq = 0.0
+    repeated = gt_t[1:][gt_t[1:] == gt_t[:-1]]  # np.interp is undefined there
+    if repeated.size:
+        raise ValueError(f"truth time {repeated[0]} is repeated")
+    scale = math.sqrt(len(est))
+    diffs = []
     for t, v in est:
         if t < gt_t[0] or t > gt_t[-1]:
             raise ValueError(f"estimate time {t} lies outside the truth span")
-        interp = np.array([np.interp(t, gt_t, gt_v[:, d]) for d in range(dim)])
-        sq += float(((v - interp) ** 2).sum())
-    return float(np.sqrt(sq / len(est)))
+        # Python floats: a difference that overflows is inf, without numpy's warning
+        diffs += [(float(v[d]) - float(np.interp(t, gt_t, gt_v[:, d]))) / scale
+                  for d in range(dim)]
+    rmse = math.hypot(*diffs)
+    if not math.isfinite(rmse):
+        raise ValueError(f"motion RMSE is {rmse}: a value is not finite or a difference overflows")
+    return rmse

@@ -239,7 +239,7 @@ class TestSequential:
         w = EventWindow(ev, G, 0.0, 1.0, 0.5)
         strict = BafConfig(dt_max=0.001, radius=1, min_support=3)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")  # a degenerate window raises no warning
             res = sequential_pipeline(w, strict, JointConfig())
         assert res.labels.sum() < 10
         assert np.array_equal(res.theta.values, [0.0, 0.0])
@@ -247,7 +247,7 @@ class TestSequential:
     def test_confidence_is_kept_mask(self):
         w = _window_from([5.2, 5.4, 40.0], [5.1, 5.2, 40.0], [0.0, 0.001, 0.5])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             res = sequential_pipeline(w, BafConfig(), JointConfig())
         wts = res.conf.weights
         assert wts[5, 5] == 1.0

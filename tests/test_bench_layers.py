@@ -59,7 +59,12 @@ def test_table_prints_on_the_smallest_size(tmp_path, monkeypatch, capsys):
 
 
 def test_traced_run_still_patches_the_kernel():
-    # spans.patch_points() skips names it cannot find, so a renamed kernel
-    # entry point would read 0 in contrast.splat_s and contrast.gradient_s
+    # spans.patch_points() skips names it cannot find, so a renamed entry
+    # point would read 0 in its per-layer metric without any error
     names = {name for _, _, name, _ in _load("spans").patch_points()}
-    assert {"contrast.splat", "contrast.position_gradient"} <= names
+    assert {
+        "events.read_events", "events.write_events", "events.window_stream", "cli._sidecar",
+        "joint.solve", "baselines.baf_filter", "warp.warp", "contrast.hard_map",
+        "joint._evaluate", "contrast.splat", "warp.warp_positions", "joint.adam_step",
+        "joint.interpolate_confidence", "contrast.position_gradient",
+    } <= names

@@ -201,20 +201,21 @@ class TestPipeline:
         assert len(err) == 1 and err[0].startswith("evjoint: error:")
         assert "Not a directory" in err[0]
 
-    def test_solver_runtime_warning_surfaces(self, synth_file, tmp_path, monkeypatch):
-        # the CLI silences only the degenerate-window UserWarning
+    @pytest.mark.parametrize("category", [RuntimeWarning, UserWarning])
+    def test_solver_runtime_warning_surfaces(self, synth_file, tmp_path, monkeypatch, category):
+        # the CLI silences no warning raised inside a solve
         def warning_solve(*args, **kwargs):
-            warnings.warn("overflow inside the solve", RuntimeWarning)
+            warnings.warn("raised inside the solve", category)
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "solve", warning_solve)
-        with pytest.warns(RuntimeWarning, match="overflow inside the solve"):
+        with pytest.warns(category, match="raised inside the solve"):
             run("denoise", "-i", str(synth_file), "-o", str(tmp_path / "o.evj"), "--iters", "2")
 
     def test_degenerate_windows_report_zero_confidence(self, synth_file, tmp_path):
         out = tmp_path / "out.evj"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the degenerate-window warning stays silent
+            warnings.simplefilter("error")  # a degenerate window raises no warning
             assert run("denoise", "-i", str(synth_file), "-o", str(out),
                        "--window-count", "7") == 0
         side = json.loads((tmp_path / "out.evj.json").read_text())
@@ -249,6 +250,37 @@ class TestPipeline:
             row = [float(v) for v in line.split(",")]
             theta = cmax_solve(w, model, cfg, theta=theta)
             assert row == [w.t_ref, *theta.values.tolist()]
+
+    def test_window_count_past_stream_is_one_window(self, synth_file, tmp_path):
+        # a count past int64 once made the window starts floats
+        outs = [tmp_path / "whole.evj", tmp_path / "huge.evj"]
+        assert run("denoise", "-i", str(synth_file), "-o", str(outs[0]), "--method", "baf") == 0
+        assert run("denoise", "-i", str(synth_file), "-o", str(outs[1]), "--method", "baf",
+                   "--window-count", str(2**63)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        sides = [json.loads(Path(f"{out}.json").read_text()) for out in outs]
+        for side in sides:
+            del side["config"]["output"], side["config"]["window_count"]
+        assert sides[0] == sides[1]
+
+    @pytest.mark.parametrize("argv,missing", [
+        (["--pred", "{in}", "--gt", "{gt}"], "--gt needs --rmse"),
+        (["--rmse", "{gt}"], "--rmse needs --gt"),
+        (["--truth", "{in}"], "--truth needs --pred"),
+        (["--esr", "--geometry", "64x64"], "--esr needs --pred"),
+        (["--pred", "{in}", "--m-ref", "0"], "--m-ref needs --esr"),
+    ], ids=["gt", "rmse", "truth", "esr", "m-ref"])
+    def test_eval_flag_without_partner_exits_two(self, synth_file, tmp_path, capsys, argv,
+                                                 missing):
+        # a flag read only beside its partner is never silently ignored
+        gt = tmp_path / "gt.csv"
+        gt.write_text("t,vx,vy\n0.0,-30.0,10.0\n0.2,-30.0,10.0\n")
+        paths = {"{gt}": str(gt), "{in}": str(synth_file)}
+        capsys.readouterr()
+        assert run("eval", *[paths.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"evjoint: error: {missing}"]
 
     def test_rmse_eval(self, synth_file, tmp_path, capsys):
         traj = tmp_path / "traj.csv"

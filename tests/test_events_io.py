@@ -305,11 +305,14 @@ class TestWindowing:
         assert wins[0].t_ref == pytest.approx(0.25)
         assert wins[1].t_ref == pytest.approx(0.75)
 
-    def test_fixed_count_sizes(self):
+    # a count past the stream's length is one window, past int64 too
+    @pytest.mark.parametrize("count,sizes", [(4, [4, 4, 2]), (11, [10]), (2**63 - 1, [10]),
+                                             (2**63, [10])])
+    def test_fixed_count_sizes(self, count, sizes):
         t = np.linspace(0, 1, 10)
         ev = Events(np.ones(10), np.ones(10), t, np.ones(10, dtype=np.int8))
-        wins = window_stream(ev, SensorGeometry(4, 4), FixedCount(4))
-        assert [len(w) for w in wins] == [4, 4, 2]
+        wins = window_stream(ev, SensorGeometry(4, 4), FixedCount(count))
+        assert [len(w) for w in wins] == sizes
 
     def test_empty_stream(self):
         assert window_stream(Events.empty(), SensorGeometry(4, 4), FixedDuration(0.1)) == []

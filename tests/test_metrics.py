@@ -149,6 +149,24 @@ class TestMotionRmse:
             acc += float(((v - interp) ** 2).sum())
         assert got == pytest.approx(math.sqrt(acc / 6), abs=1e-12)
 
+    def test_huge_finite_difference_does_not_overflow(self):
+        # squaring 1e200 overflows; the RMSE itself is finite
+        truth = [(0.0, np.array([0.0, 0.0])), (1.0, np.array([0.0, 0.0]))]
+        assert motion_rmse([(0.1, np.array([1e200, 0.0]))], truth) == 1e200
+
+    def test_difference_past_float_range_rejected(self):
+        truth = [(0.0, np.array([-1e308])), (1.0, np.array([-1e308]))]
+        with pytest.raises(ValueError, match="not finite"):
+            motion_rmse([(0.5, np.array([1e308]))], truth)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2)])
+    def test_repeated_truth_time_rejected(self, order):
+        # np.interp is undefined at a repeated time: the answer followed row order
+        rows = [(0.0, np.array([0.0, 0.0])), (0.0, np.array([1.0, 0.0])),
+                (1.0, np.array([1.0, 0.0]))]
+        with pytest.raises(ValueError, match="truth time 0.0 is repeated"):
+            motion_rmse([(0.0, np.array([5.0, 0.0]))], [rows[i] for i in order])
+
     def test_time_outside_span_rejected(self):
         truth = [(0.0, np.array([0.0])), (1.0, np.array([1.0]))]
         with pytest.raises(ValueError, match="outside"):
