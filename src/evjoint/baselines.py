@@ -9,8 +9,7 @@ import numpy as np
 
 from .contrast import ConfidenceMap, hard_map
 from .events import EventWindow
-from .joint import (DEGENERATE_MIN_EVENTS, JointConfig, JointResult, _descend, _guarded_start,
-                    _Workspace, interpolate_confidence)
+from .joint import JointConfig, JointResult, cmax, interpolate_confidence
 from .warp import MotionParams, warp
 
 # baf_filter's work, (2r + 1)^2 neighbour offsets times (n events plus a fixed
@@ -92,38 +91,22 @@ def baf_filter(window: EventWindow, cfg: BafConfig) -> np.ndarray:
     return labels
 
 
-def _cmax(window: EventWindow, model: str, cfg: JointConfig,
-          theta: MotionParams | None = None) -> tuple[MotionParams, dict]:
-    """cmax_solve's motion and its record in JointResult's fields (empty for a
-    degenerate window): the steps as warm_iterations, since the ascent is
-    `solve`'s warm start run to cfg.iterations, stop_reason and seeded."""
-    if len(window) < DEGENERATE_MIN_EVENTS:
-        return MotionParams.zero(model), {}
-    ws = _Workspace(window, cfg, model)
-    theta = _guarded_start(ws, theta)
-    end, _, steps, _, capped = _descend(ws, cfg.iterations, 0.0, theta=theta)
-    return end, {"warm_iterations": steps, "seeded": theta is not None,
-                 "stop_reason": "settled" if capped is None else "cap"}
-
-
 def cmax_solve(window: EventWindow, model: str, cfg: JointConfig,
                theta: MotionParams | None = None) -> MotionParams:
     """Estimate motion by Adam ascent on the alignment variance alone, from
     zero motion or, if its alignment variance is strictly larger, from theta
     (the guard `solve` puts on its `start`)."""
-    return _cmax(window, model, cfg, theta)[0]
+    return cmax(window, model, cfg, theta).theta
 
 
-def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams,
-                **record) -> JointResult:
+def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:
     """A density filter's labels `keep` with motion theta. The confidence map
     is the binary mask of pixels holding a kept event warped by theta, the
-    frame `solve`'s map is in; each event's confidence samples it there.
-    record holds further JointResult fields (the solver record of theta)."""
+    frame `solve`'s map is in; each event's confidence samples it there."""
     warped = warp(window, theta)
     mask = hard_map(warped[keep], window.geometry).values > 0
     return JointResult(theta, ConfidenceMap.from_weights_mask(mask), keep,
-                       interpolate_confidence(mask, warped), **record)
+                       interpolate_confidence(mask, warped))
 
 
 def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig, cmax_cfg: JointConfig,
@@ -131,11 +114,11 @@ def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig, cmax_cfg: Joint
                         theta: MotionParams | None = None) -> JointResult:
     """Denoise first, then estimate motion on the kept subset.
 
-    Labels come from the density filter and motion from contrast
-    maximization over the kept events only (see `kept_result`), seeded with
-    theta as cmax_solve is.
+    Labels come from the density filter (see `kept_result`), and motion and
+    its step record from `cmax` over the kept events only, seeded with theta.
     """
     keep = baf_filter(window, baf_cfg)
     kept = replace(window, events=window.events.take(keep), check_sorted=False)  # a sorted subset
-    end, record = _cmax(kept, model, cmax_cfg, theta)
-    return kept_result(window, keep, end, **record)
+    res = cmax(kept, model, cmax_cfg, theta)
+    labelled = kept_result(window, keep, res.theta)
+    return replace(res, conf=labelled.conf, labels=keep, confidence=labelled.confidence)

@@ -11,13 +11,12 @@ import argparse
 import json
 import logging
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import BafConfig, _cmax, baf_filter, kept_result, sequential_pipeline
+from .baselines import BafConfig, baf_filter, kept_result, sequential_pipeline
 from .contrast import hard_map, smooth_map
 from .events import (
     Events,
@@ -35,6 +34,7 @@ from .joint import (
     JointResult,
     NonFiniteObjective,
     WarmStartScaled,
+    cmax,
     solve,
 )
 from .metrics import confusion, esr, motion_rmse
@@ -60,16 +60,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _geometry(flag: str | None, stored=None, missing: str = "") -> SensorGeometry:
-    """A stream's stored geometry, else --geometry's WxH, else CliError(missing)."""
-    if stored is not None:
-        return stored
+    """--geometry's WxH, which must equal a stream's stored geometry if it has
+    one; else the stored geometry; else CliError(missing)."""
     if flag is None:
-        raise CliError(missing)
+        if stored is None:
+            raise CliError(missing)
+        return stored
     try:
         w, h = flag.lower().split("x")
-        return SensorGeometry(int(w), int(h))
+        given = SensorGeometry(int(w), int(h))
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad --geometry {flag!r}, expected WxH (e.g. 64x64): {exc}") from None
+    if stored is not None and stored != given:
+        raise CliError(f"--geometry {given.width}x{given.height} differs from the stream's "
+                       f"stored {stored.width}x{stored.height}")
+    return given
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -248,14 +253,9 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 def cmd_estimate_motion(args: argparse.Namespace) -> int:
     cfg = _joint_config(args)
-
-    def cmax(w, start, _):
-        theta, record = _cmax(w, args.model, cfg, start)
-        return kept_result(w, np.zeros(len(w), dtype=bool), theta, **record)
-
     method = {
         "joint": lambda w, start, on_step: solve(w, cfg, args.model, start, on_step),
-        "cmax": cmax,
+        "cmax": lambda w, start, _: cmax(w, args.model, cfg, start),
     }[args.method]
     _, _, solved = _solve_windows(args, method)
     records = [{"t_ref": w.t_ref, "theta": res.theta.values.tolist()} for w, res in solved]
@@ -295,7 +295,7 @@ def _read_trajectory(path) -> list[tuple[float, np.ndarray]]:
 def cmd_eval(args: argparse.Namespace) -> int:
     given = {k for k, v in vars(args).items() if v is not None and v is not False}
     for flag, partner in (("truth", "pred"), ("esr", "pred"), ("m_ref", "esr"),
-                          ("rmse", "gt"), ("gt", "rmse")):
+                          ("geometry", "esr"), ("rmse", "gt"), ("gt", "rmse")):
         if flag in given and partner not in given:
             raise CliError(f"--{flag.replace('_', '-')} needs --{partner}")
     report: dict = {}
@@ -322,9 +322,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                  "ESR needs geometry; pass --geometry WxH")
             kept = pred.events.positions[pred.labels]
             m_ref = args.m_ref if args.m_ref is not None else max(1, kept.shape[0])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                report["esr"] = esr(kept, geometry, m_ref)
+            report["esr"] = esr(kept, geometry, m_ref)
             report["esr_m_ref"] = m_ref
     if args.rmse is not None:
         est = _read_trajectory(args.rmse)

@@ -168,20 +168,10 @@ class LoadedStream(NamedTuple):
     geometry: SensorGeometry | None
 
 
-def detect_format(path) -> str:
-    """Pick 'csv' or 'binary' from the extension, falling back to magic bytes."""
-    p = Path(path)
-    ext = p.suffix.lower()
-    if ext in (".csv", ".txt"):
-        return "csv"
-    if ext in (".evj", ".bin"):
-        return "binary"
-    try:
-        with open(p, "rb") as f:
-            head = f.read(4)
-    except OSError:
-        return "csv"
-    return "binary" if head == BINARY_MAGIC else "csv"
+def _is_csv(path) -> bool:
+    """The one format rule of reading and writing: a .csv or .txt name is
+    CSV, any other name the binary format."""
+    return Path(path).suffix.lower() in (".csv", ".txt")
 
 
 def _is_header(line: str) -> bool:
@@ -257,7 +247,8 @@ def _parse_binary(path) -> LoadedStream:
     with open(path, "rb") as f:
         header = f.read(20)
         if len(header) < 20 or header[:4] != BINARY_MAGIC:
-            raise FormatError(f"{path}: not an event binary (bad magic/header)")
+            raise FormatError(f"{path}: not an event binary (bad magic/header); "
+                              "CSV input needs a .csv or .txt name")
         width, height, count = struct.unpack("<IIQ", header[4:])
         body = f.seek(0, 2) - 20  # whence 2 is the end of the file
         if body != count * _EVENT_DTYPE.itemsize:
@@ -286,13 +277,13 @@ def _parse_binary(path) -> LoadedStream:
 
 
 def read_events(path, sort: bool = False) -> LoadedStream:
-    """Read an event stream from a CSV or binary file.
+    """Read an event stream from a CSV (.csv or .txt name) or binary file.
 
     Timestamps must be non-decreasing; pass ``sort=True`` to stable-sort
     instead of rejecting. Labels and geometry are returned when the file
     carries them (binary always has geometry, CSV never does).
     """
-    parse = _parse_csv if detect_format(path) == "csv" else _parse_binary
+    parse = _parse_csv if _is_csv(path) else _parse_binary
     events, labels, geometry = parse(path)
     if not events.is_time_sorted():
         if not sort:
@@ -310,7 +301,7 @@ def write_events(
     labels: np.ndarray | None = None,
     geometry: SensorGeometry | None = None,
 ) -> None:
-    """Write an event stream to CSV or binary.
+    """Write an event stream to CSV (.csv or .txt name) or binary.
 
     Binary round-trips are bit exact and require ``geometry``; CSV uses
     shortest-roundtrip decimal text, so it round-trips exactly as well.
@@ -319,7 +310,7 @@ def write_events(
         labels = np.asarray(labels, dtype=bool)
         if labels.shape[0] != len(events):
             raise ValueError("labels must parallel the event list")
-    if Path(path).suffix.lower() in (".csv", ".txt"):
+    if _is_csv(path):
         with open(path, "w", encoding="utf-8") as f:
             f.write("x,y,t,p,label\n" if labels is not None else "x,y,t,p\n")
             columns = [map(repr, events.x.tolist()), map(repr, events.y.tolist()),

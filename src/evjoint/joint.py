@@ -121,9 +121,10 @@ class JointResult:
     labels, confidence >= tau; confidence, the map's weights sampled
     bilinearly at each event warped by theta; iterations, the joint phase's
     step count; final, the objective's parts at its end point; b_ea, b_ed
-    and alpha, the baselines and L1 weight used; stop_reason, why the joint
-    phase stopped, "settled" or "cap"; warm_iterations, the warm start's step
-    count; seeded, whether the first descent began at the caller's `start`;
+    and alpha, the baselines and L1 weight used; stop_reason, why the last
+    descent stopped, "settled" or "cap"; warm_iterations, the alignment-only
+    descent's step count (the warm start's, or all of `cmax`'s); seeded,
+    whether the first descent began at the caller's `start`;
     resumed, whether the joint phase resumed the warm start's Adam state
     (exactly when the warm start stopped at its cap). Results no objective
     produced keep the defaults: no steps, no stop reason, NaN baselines."""
@@ -224,8 +225,8 @@ class _Workspace:
     time offsets, rotation center) and b_ed, the variance of the splat
     kernel's first map, the unwarped positions'; every evaluation reuses the
     kernel (within contrast.WORKSPACE_LIMIT_BYTES), five H x W maps, and the
-    warped positions and their gradient: 56 bytes per event. `solve` builds
-    one per non-degenerate window; it is dropped with that call."""
+    warped positions and their gradient: 56 bytes per event. `solve` and
+    `cmax` build one per non-degenerate window; it is dropped with that call."""
 
     def __init__(self, window: EventWindow, cfg: JointConfig, model: str):
         self.window, self.cfg, self.model = window, cfg, model
@@ -393,6 +394,31 @@ def _descend(ws: _Workspace, iterations: int, b_ea: float, logits: np.ndarray | 
             logits, state_log = adam_step(logits, dlogits, state_log, LR_LOGITS)
 
 
+def _all_noise(window: EventWindow, theta: MotionParams, **record) -> JointResult:
+    """Motion theta with every event noise: an all-zero map and confidence.
+    record holds further JointResult fields."""
+    blank = ConfidenceMap.from_weights_mask(np.zeros(window.geometry.shape, dtype=bool))
+    return JointResult(theta, blank, np.zeros(len(window), dtype=bool), np.zeros(len(window)),
+                       **record)
+
+
+def cmax(window: EventWindow, model: str, cfg: JointConfig,
+         start: MotionParams | None = None) -> JointResult:
+    """Contrast maximization: Adam ascent on the alignment variance alone,
+    `solve`'s warm start run to at most cfg.iterations steps, from zero
+    motion or from start under `solve`'s guard. It labels no event signal;
+    the result records the steps as warm_iterations, stop_reason and
+    seeded. A window of fewer than DEGENERATE_MIN_EVENTS events gets zero
+    motion and stop_reason None."""
+    if len(window) < DEGENERATE_MIN_EVENTS:
+        return _all_noise(window, MotionParams.zero(model))
+    ws = _Workspace(window, cfg, model)
+    seed = _guarded_start(ws, start)
+    theta, _, steps, _, capped = _descend(ws, cfg.iterations, 0.0, theta=seed)
+    return _all_noise(window, theta, warm_iterations=steps, seeded=seed is not None,
+                      stop_reason="settled" if capped is None else "cap")
+
+
 def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
           start: MotionParams | None = None, on_step=None) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
@@ -423,9 +449,7 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     Deterministic: the solver is full-batch.
     """
     if len(window) < DEGENERATE_MIN_EVENTS:
-        blank = ConfidenceMap.from_weights_mask(np.zeros(window.geometry.shape, dtype=bool))
-        return JointResult(MotionParams.zero(model), blank, np.zeros(len(window), dtype=bool),
-                           np.zeros(len(window)), alpha=_resolve_alpha(cfg))
+        return _all_noise(window, MotionParams.zero(model), alpha=_resolve_alpha(cfg))
 
     ws = _Workspace(window, cfg, model)
     theta = seed = _guarded_start(ws, start)

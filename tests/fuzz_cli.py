@@ -1,8 +1,11 @@
 """Numeric-flag fuzz corpus for the command line.
 
 Runs every numeric flag of `synth`, `denoise`, `estimate-motion` and
-`render` with each of nan, +-inf, 0, -1, 1e300, 1e-300 and 2^63, plus
-`eval --rmse` on trajectories with 1e200 values and with repeated times.
+`render`, and `eval --esr --m-ref`, with each of nan, +-inf, 0, -1, 1e300,
+1e-300 and 2^63; `--geometry` with each of 0x0, nanx1, 64x, 4096x4097 and
+2x2 on `denoise`, `estimate-motion`, `render` and `eval --esr` over the
+`.evj` input, which stores 64x64; and `eval --rmse` on trajectories with
+1e200 values and with repeated times.
 Each case runs in its own subprocess, one at a time, under an address-space
 limit of 2 GiB, a 60 s timeout and PYTHONWARNINGS=error::RuntimeWarning.
 A case fails on a traceback, an exit code outside {0, 1, 2}, a timeout, or
@@ -28,12 +31,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ADDRESS_SPACE = 2 << 30
 TIMEOUT_S = 60
 VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", str(2**63))
+GEOMETRIES = ("0x0", "nanx1", "64x", "4096x4097", "2x2")  # the values --geometry gets
 
 # (command, the flags every case of it passes, the fuzzed flag, extra flags
 # that make the fuzzed flag matter); "{out}" is the case's output path and
 # "{in}" the shared input stream
 STREAM = ["-i", "{in}", "-o", "{out}"]
 SOLVE = [*STREAM, "--iters", "20"]
+ESR = ["--pred", "{in}", "--esr"]
 FLAGS = [
     ("synth", ["-o", "{out}", "--duration", "0.05"], flag, extra)
     for flag, extra in [
@@ -55,9 +60,16 @@ FLAGS = [
                  "--window-ms", "--window-count")
 ] + [
     ("render", STREAM, flag, []) for flag in ("--theta", "--omega", "--sigma")
+] + [
+    ("eval", ESR, "--m-ref", []),
+] + [
+    (command, base, "--geometry", [])
+    for command, base in (("denoise", SOLVE), ("estimate-motion", SOLVE), ("render", STREAM),
+                          ("eval", ESR))
 ]
 PAIRS = {"--center", "--motion", "--theta"}  # comma-separated pairs: both parts get the value
-SUFFIX = {"synth": ".evj", "denoise": ".evj", "estimate-motion": ".csv", "render": ".pgm"}
+SUFFIX = {"synth": ".evj", "denoise": ".evj", "estimate-motion": ".csv", "render": ".pgm",
+          "eval": ".json"}
 
 # (name, estimated trajectory, truth trajectory) for `eval --rmse`
 TRAJECTORIES = [
@@ -103,7 +115,7 @@ def problem(code: int | None, stderr: str) -> str | None:
 def cases(tmp: Path) -> list[tuple[str, list[str]]]:
     out = []
     for command, base, flag, extra in FLAGS:
-        for value in VALUES:
+        for value in GEOMETRIES if flag == "--geometry" else VALUES:
             name = f"{command} {flag}={value}"
             path = tmp / f"case{len(out)}{SUFFIX[command]}"
             given = f"{value},{value}" if flag in PAIRS else value

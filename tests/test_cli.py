@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import evjoint
-from evjoint import cli
+from evjoint import baselines, cli
 from evjoint.baselines import cmax_solve
 from evjoint.cli import main
 from evjoint.events import (Events, FixedDuration, SensorGeometry, read_events, window_stream,
@@ -57,6 +57,16 @@ class TestDispatch:
         p.write_text("1,1,0.1,1\n")
         assert run("denoise", "-i", str(p), "-o", str(tmp_path / "o.evj")) == 2
         assert "geometry" in capsys.readouterr().err
+
+    def test_csv_under_another_suffix_exits_two(self, tmp_path, capsys):
+        src, out = tmp_path / "in.dat", tmp_path / "out.evj"
+        src.write_text("x,y,t,p\n1,1,0.1,1\n2,2,0.2,-1\n")
+        assert run("denoise", "--method", "baf", "-i", str(src), "-o", str(out),
+                   "--geometry", "8x8") == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"evjoint: error: {src}: not an event binary (bad magic/header); "
+            "CSV input needs a .csv or .txt name"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("body", ["x,y,t,p\n", "x,y,t,p\n1,1,0.1,1\n"],
                              ids=["header-only", "one-event"])
@@ -251,6 +261,17 @@ class TestPipeline:
             theta = cmax_solve(w, model, cfg, theta=theta)
             assert row == [w.t_ref, *theta.values.tolist()]
 
+    def test_estimate_motion_cmax_labels_nothing(self, synth_file, tmp_path, monkeypatch):
+        # cmax's result already marks every event noise: nothing warps, maps or samples
+        def refused(*args, **kwargs):
+            raise AssertionError("estimate-motion --method cmax labelled its windows")
+
+        for owner in (cli, baselines):
+            for name in ("kept_result", "hard_map"):
+                monkeypatch.setattr(owner, name, refused)
+        assert run("estimate-motion", "-i", str(synth_file), "-o", str(tmp_path / "traj.csv"),
+                   "--method", "cmax", "--window-ms", "40", "--iters", "5") == 0
+
     def test_window_count_past_stream_is_one_window(self, synth_file, tmp_path):
         # a count past int64 once made the window starts floats
         outs = [tmp_path / "whole.evj", tmp_path / "huge.evj"]
@@ -269,7 +290,8 @@ class TestPipeline:
         (["--truth", "{in}"], "--truth needs --pred"),
         (["--esr", "--geometry", "64x64"], "--esr needs --pred"),
         (["--pred", "{in}", "--m-ref", "0"], "--m-ref needs --esr"),
-    ], ids=["gt", "rmse", "truth", "esr", "m-ref"])
+        (["--pred", "{in}", "--geometry", "2x2"], "--geometry needs --esr"),
+    ], ids=["gt", "rmse", "truth", "esr", "m-ref", "geometry"])
     def test_eval_flag_without_partner_exits_two(self, synth_file, tmp_path, capsys, argv,
                                                  missing):
         # a flag read only beside its partner is never silently ignored
@@ -566,12 +588,123 @@ class TestRender:
         out = tmp_path / "hard.pgm"
         assert run("render", "-i", str(synth_file), "-o", str(out), "--hard") == 0
 
+    def test_omega_render(self, synth_file, tmp_path, capsys):
+        plain, turned = tmp_path / "plain.pgm", tmp_path / "turned.pgm"
+        assert run("render", "-i", str(synth_file), "-o", str(plain)) == 0
+        assert run("render", "-i", str(synth_file), "-o", str(turned), "--omega", "2") == 0
+        assert capsys.readouterr().err == ""
+        assert turned.read_bytes()[:13] == b"P5\n64 64\n255\n"
+        assert turned.read_bytes() != plain.read_bytes()
+        assert json.loads(Path(f"{turned}.json").read_text())["config"]["omega"] == 2.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "-o", "{out}.evj", "--motion", "5"],
+         "bad --motion '5', expected two comma-separated numbers"),
+        (["render", "-i", "{in}", "-o", "{out}.pgm", "--theta", "1,2,3"],
+         "bad --theta '1,2,3', expected two comma-separated numbers"),
+    ], ids=["one-part", "three-parts"])
+    def test_bad_pair_exits_two(self, synth_file, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        argv = [a.replace("{in}", str(synth_file)).replace("{out}", str(out)) for a in argv]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"evjoint: error: {message}"]
+        assert list(tmp_path.glob("out*")) == []
+
     @pytest.mark.parametrize("name", ["map.png", "map"])
     def test_non_pgm_output_exits_two(self, synth_file, tmp_path, capsys, name):
         out = tmp_path / name
         assert run("render", "-i", str(synth_file), "-o", str(out)) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+class TestGeometryFlag:
+    """--geometry names the sensor of a stream that stores none; on a stream
+    that stores one it must name the same size, never be silently ignored."""
+
+    @pytest.mark.parametrize("command,name", [
+        (["denoise", "--method", "baf"], "out.evj"),
+        (["estimate-motion", "--method", "cmax", "--iters", "2"], "out.csv"),
+        (["render", "--hard"], "out.pgm"),
+    ], ids=["denoise", "estimate-motion", "render"])
+    def test_stream_commands(self, synth_file, tmp_path, capsys, command, name):
+        out = tmp_path / name
+        assert run(*command, "-i", str(synth_file), "-o", str(out), "--geometry", "8x8") == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "evjoint: error: --geometry 8x8 differs from the stream's stored 64x64"]
+        assert not out.exists()
+        assert run(*command, "-i", str(synth_file), "-o", str(out), "--geometry", "64X64") == 0
+
+    def test_eval_esr(self, synth_file, tmp_path, capsys):
+        assert run("eval", "--pred", str(synth_file), "--esr", "--geometry", "2x2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "evjoint: error: --geometry 2x2 differs from the stream's stored 64x64"]
+        assert run("eval", "--pred", str(synth_file), "--esr", "--geometry", "64x64") == 0
+        with_flag = json.loads(capsys.readouterr().out)
+        assert run("eval", "--pred", str(synth_file), "--esr") == 0
+        assert json.loads(capsys.readouterr().out) == with_flag
+
+
+class TestEvalReport:
+    def test_esr_clamp_warns(self, synth_file, capsys):
+        # an --m-ref past the kept count clamps esr's decay base, which it says
+        with pytest.warns(UserWarning, match="clamping"):
+            assert run("eval", "--pred", str(synth_file), "--esr", "--m-ref", "100000") == 0
+        assert json.loads(capsys.readouterr().out)["esr_m_ref"] == 100000
+
+    def test_report_to_file(self, synth_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert run("eval", "--pred", str(synth_file), "--truth", str(synth_file),
+                   "-o", str(report)) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(report.read_text())["sensitivity"] == 1.0
+        side = json.loads(Path(f"{report}.json").read_text())
+        assert side["command"] == "eval" and side["config"]["output"] == str(report)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--pred", "{bare}"], "{bare} has no label column"),
+        (["--pred", "{in}", "--truth", "{bare}"], "{bare} has no label column"),
+        (["--pred", "{in}", "--truth", "{short}"], "prediction and truth streams differ in length"),
+        ([], "nothing to evaluate; pass --pred and/or --rmse"),
+    ], ids=["pred-unlabeled", "truth-unlabeled", "lengths", "nothing"])
+    def test_error_exits_two(self, synth_file, tmp_path, capsys, argv, message):
+        loaded = read_events(synth_file)
+        paths = {"{in}": str(synth_file), "{bare}": str(tmp_path / "bare.evj"),
+                 "{short}": str(tmp_path / "short.evj")}
+        write_events(loaded.events, paths["{bare}"], geometry=loaded.geometry)
+        write_events(loaded.events[:10], paths["{short}"], labels=loaded.labels[:10],
+                     geometry=loaded.geometry)
+        report = tmp_path / "report.json"
+        assert run("eval", *[paths.get(a, a) for a in argv], "-o", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"evjoint: error: {message.replace('{bare}', paths['{bare}'])}"]
+        assert not report.exists()
+
+    def test_trajectory_blank_lines_skipped(self, tmp_path, capsys):
+        est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
+        est.write_text("t,vx,vy\n\n0.0,1.0,2.0\n\n0.5,1.0,2.0\n\n")
+        gt.write_text("t,vx,vy\n0.0,1.0,2.0\n1.0,1.0,2.0\n")
+        assert run("eval", "--rmse", str(est), "--gt", str(gt)) == 0
+        assert json.loads(capsys.readouterr().out) == {"rmse": 0.0}
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,vx,vy\n0.0,1.0,2.0\nabc,1.0,2.0\n", "line 3: unparseable trajectory row"),
+        ("t,vx,vy\n0.0\n", "line 2: need time plus parameters"),
+        ("t,vx,vy\n\n", "empty trajectory"),
+    ], ids=["unparseable", "short", "empty"])
+    def test_bad_trajectory_exits_two(self, tmp_path, capsys, text, message):
+        est, gt, report = tmp_path / "est.csv", tmp_path / "gt.csv", tmp_path / "report.json"
+        est.write_text(text)
+        gt.write_text("t,vx,vy\n0.0,1.0,2.0\n1.0,1.0,2.0\n")
+        assert run("eval", "--rmse", str(est), "--gt", str(gt), "-o", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"evjoint: error: {est}: {message}"]
+        assert not report.exists()
 
 
 class TestSigmaBound:

@@ -280,6 +280,35 @@ class TestBinary:
         with pytest.raises(OSError):
             write_events(ev, tmp_path / "nodir" / "x.evj", geometry=SensorGeometry(4, 4))
 
+    @pytest.mark.parametrize("byte,message", [(2, "label bytes must be 0, 1, or 255"),
+                                              (255, "mixed labeled and unlabeled records")])
+    def test_bad_label_byte(self, tmp_path, byte, message):
+        p = tmp_path / "l.evj"
+        ev = _random_events(np.random.default_rng(5), 3)
+        write_events(ev, p, labels=[True, False, True], geometry=SensorGeometry(64, 48))
+        data = bytearray(p.read_bytes())
+        data[20 + 26 + 25] = byte  # the second record's label byte
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=message):
+            read_events(p)
+
+    def test_any_other_suffix_is_binary(self, tmp_path):
+        rng = np.random.default_rng(9)
+        ev, labels = _random_events(rng, 40, labels=True)
+        p = tmp_path / "stream.dat"
+        write_events(ev, p, labels=labels, geometry=SensorGeometry(64, 48))
+        assert p.read_bytes()[:4] == b"EVJ1"
+        loaded = read_events(p)
+        assert loaded.events == ev
+        assert np.array_equal(loaded.labels, labels)
+        assert loaded.geometry == SensorGeometry(64, 48)
+
+    def test_csv_under_another_suffix_is_read_as_binary(self, tmp_path):
+        p = tmp_path / "stream.dat"
+        p.write_text("x,y,t,p\n1,1,0.1,1\n2,2,0.2,-1\n")
+        with pytest.raises(FormatError, match=r"bad magic.*CSV input needs a \.csv or \.txt name"):
+            read_events(p)
+
 
 class TestSorting:
     def test_unsorted_rejected(self, tmp_path):
