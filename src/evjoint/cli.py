@@ -173,8 +173,7 @@ def _solve_windows(args: argparse.Namespace, method):
             steps = ""
             if res.stop_reason is not None:  # a solver ran: its steps and where it began
                 # the warm start's own stop; none shown when an explicit b_ea skipped it
-                warm = (" (cap, resumed)" if res.resumed else
-                        " (settled)" if res.warm_iterations else "")
+                warm = "" if res.warm_stop_reason is None else f" ({res.warm_stop_reason})"
                 counts = (f"{res.warm_iterations} cmax steps" if res.final is None else
                           f"{res.warm_iterations} warm{warm} + {res.iterations} joint steps")
                 origin = f"window {i - 1}" if res.seeded else "zero"
@@ -269,7 +268,7 @@ def cmd_estimate_motion(args: argparse.Namespace) -> int:
 
 
 def _read_trajectory(path) -> list[tuple[float, np.ndarray]]:
-    rows = []
+    rows, header = [], False
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -279,8 +278,9 @@ def _read_trajectory(path) -> list[tuple[float, np.ndarray]]:
             try:
                 vals = [float(s) for s in parts]
             except ValueError:
-                if lineno == 1:
-                    continue  # header
+                if not rows and not header:
+                    header = True  # the first non-blank line may be a header
+                    continue
                 raise CliError(f"{path}: line {lineno}: unparseable trajectory row") from None
             if len(vals) < 2:
                 raise CliError(f"{path}: line {lineno}: need time plus parameters")

@@ -5,8 +5,15 @@ maximized for alignment) and the variance of its confidence-weighted
 counterpart (to be minimized for denoising). Each is turned into a regret
 against a baseline; the scalar objective is the larger regret plus an L1
 sparsity penalty on the confidence weights and a fidelity term that keeps
-the weighted map close to the unweighted one. Both parameter blocks are
-updated with a hand-rolled bias-corrected Adam.
+the weighted map close to the unweighted one.
+
+At a fixed motion theta that objective is convex in the confidence weights,
+so every evaluation of the joint phase solves them exactly (`_Exact`), and
+the solver searches over theta alone: one or two parameters, stepped by a
+hand-rolled BFGS with a backtracking line search (`_descend`) on
+Phi(theta) = min_w F(theta, w), whose gradient is Danskin's. The warm start
+and plain contrast maximization run the same loop on the alignment variance
+alone. `iterations` caps each descent's steps, one line search each.
 """
 
 from __future__ import annotations
@@ -34,19 +41,28 @@ ALPHA_PEAK_MULTIPLES = 2.5
 
 KAPPA_DEFAULT = 1.1
 
-# Adam's moment decay rates, denominator floor and step sizes (phi in pixels, logits)
+# Adam's moment decay rates, denominator floor and largest gradient: `adam_step`
+# is public, though no descent runs it
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-LR_THETA, LR_LOGITS = 0.05, 0.1
 ADAM_MAX_GRAD = 1e150  # the largest |gradient| adam_step takes: its square stays finite
 
-# Stop rule of every descent: every STOP_EVERY steps it stops once phi has
-# moved at most STOP_EVERY * STOP_PX px per axis and no confidence weight
-# more than STOP_WEIGHT since the previous check.
-STOP_EVERY, STOP_PX, STOP_WEIGHT = 10, 3e-4, 1e-2
+# Every descent is BFGS on phi = theta * span (pixels across the window). Its
+# first step moves phi STEP0_PX px along the steepest descent, and a step is
+# taken where the merit falls by at least ARMIJO_C1 of the linear model's
+# drop (backtracking). It has settled once a step, proposed or taken, moves
+# phi at most STOP_PX px on every axis. A gradient above MAX_GRAD in
+# magnitude is refused: BFGS's products of two stay finite.
+STEP0_PX, STOP_PX, ARMIJO_C1 = 1.0, 1e-4, 1e-4
+MAX_GRAD = 1e150
+
+# The exact weights' scalar root searches stop once their bracket or step is
+# below ROOT_TOL of its range, or after ROOT_STEPS points.
+ROOT_TOL, ROOT_STEPS = 1e-13, 60
 
 
 class NonFiniteObjective(RuntimeError):
-    """The objective became NaN or infinite during the ascent."""
+    """The objective became NaN or infinite, or its motion gradient too large to
+    step, during a descent."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +94,8 @@ BaselineSpec = Union[ExplicitBaseline, WarmStartScaled]
 class JointConfig:
     """Objective weights, alignment baseline, kernel width, label threshold
     and `iterations`, the most steps the joint phase runs (the warm start
-    runs at most half as many); either phase stops earlier once it settles."""
+    runs at most half as many), a step being one line search of `_descend`;
+    either phase stops earlier once it settles."""
 
     alpha: float | None = None
     beta: float = 1e-4
@@ -123,10 +140,10 @@ class JointResult:
     step count; final, the objective's parts at its end point; b_ea, b_ed
     and alpha, the baselines and L1 weight used; stop_reason, why the last
     descent stopped, "settled" or "cap"; warm_iterations, the alignment-only
-    descent's step count (the warm start's, or all of `cmax`'s); seeded,
-    whether the first descent began at the caller's `start`;
-    resumed, whether the joint phase resumed the warm start's Adam state
-    (exactly when the warm start stopped at its cap). Results no objective
+    descent's step count (the warm start's, or all of `cmax`'s), and
+    warm_stop_reason, the warm start's stop (None when none ran, as under an
+    explicit b_ea or in `cmax`, whose stop is stop_reason); seeded, whether
+    the first descent began at the caller's `start`. Results no objective
     produced keep the defaults: no steps, no stop reason, NaN baselines."""
 
     theta: MotionParams
@@ -140,8 +157,8 @@ class JointResult:
     alpha: float = math.nan
     stop_reason: str | None = None
     warm_iterations: int = 0
+    warm_stop_reason: str | None = None
     seeded: bool = False
-    resumed: bool = False
 
 
 @dataclass(frozen=True)
@@ -241,14 +258,136 @@ class _Workspace:
         self.warped, self.dpos = np.empty((len(window), 2)), np.empty((2, len(window)))
 
 
+def _falling_root(f, lo: float, hi: float, x: float, step, tol: float) -> float:
+    """Where the nonincreasing f crosses zero on [lo, hi]: lo if f(lo) <= 0, hi
+    if f(hi) >= 0. From the guess x the first step is step(f(x)), the next
+    ones secant steps through the last two points, or toward the end their
+    sign points to where f took one value at both. A step past an end of the
+    bracket the signs have shown goes to its midpoint; a step past an end not
+    yet evaluated goes to that end, which is then evaluated. Returns the last
+    point evaluated, once f is 0 there, the bracket or an inner step is
+    within tol, or after ROOT_STEPS points."""
+    seen_lo = seen_hi = False
+    prev = None
+    for _ in range(ROOT_STEPS):
+        fx = f(x)
+        if fx > 0:
+            lo, seen_lo = x, True
+        elif fx < 0:
+            hi, seen_hi = x, True
+        else:  # a root, or NaN
+            return x
+        if hi - lo <= tol:
+            return x
+        if prev is None:
+            nxt = x + step(fx)
+        elif prev[1] == fx:
+            nxt = math.copysign(math.inf, fx)
+        else:
+            nxt = x - fx * (x - prev[0]) / (fx - prev[1])
+        if nxt >= hi:
+            nxt = 0.5 * (lo + hi) if seen_hi else hi
+        elif nxt <= lo:
+            nxt = 0.5 * (lo + hi) if seen_lo else lo
+        elif abs(nxt - x) <= tol:
+            return x
+        prev, x = (x, fx), nxt
+    return x
+
+
+class _Exact:
+    """`_evaluate`'s logits argument that asks for the confidence weights
+    minimizing the objective at theta. It keeps lam, the multiplier on the
+    regret max, mu, the mean of w * m, and the slope of r_ed(w_lam) - r_ea in
+    lam, of its last solve as the next one's guesses, since theta moves
+    little from one evaluation to the next."""
+
+    def __init__(self) -> None:
+        self.lam, self.mu, self.slope = 0.5, 0.0, 0.0
+
+    def solve(self, m, r_ea, b_ed, alpha, beta, out, inv, inv2, base) -> np.ndarray:
+        """The weights w in [0, 1] minimizing max(r_ea, var(w m) - b_ed) +
+        alpha sum(w) + beta sum(((w - 1) m)^2) on the map m >= 0, written to out;
+        inv, inv2 and base are m-shaped scratch maps.
+
+        The objective is convex in w. With lam in [0, 1] the multiplier on
+        the max and n = m.size, its minimizer is w = clip((2 beta m^2 +
+        2 lam mu m / n - alpha) / (2 m^2 (beta + lam / n)), 0, 1) = clip(base +
+        k mu / m, 0, 1), where mu = mean(w m) is the fixed point of a
+        nondecreasing map whose slope is at most k = (lam / n) / (beta + lam / n)
+        < 1. lam is 0 if r_ed(w_0) <= r_ea, 1 if r_ed(w_1) >= r_ea, else the root
+        of the nonincreasing r_ed(w_lam) - r_ea. Both scalars are found by
+        `_falling_root` from the last solve's values, lam's first step a
+        Newton step on the last solve's slope. w is 0 where m = 0, and
+        everywhere at lam = beta = 0, where the objective no longer depends on
+        it: nothing is divided by zero."""
+        n = m.size
+        mf, bf = m.reshape(-1), base.reshape(-1)
+        pos = m > 0
+        inv.fill(0.0)
+        np.divide(1.0, m, out=inv, where=pos)
+        inv2.fill(math.inf)
+        np.multiply(inv, inv, out=inv2, where=pos)
+        mass = float(mf.sum()) / n  # mu's upper bound: w <= 1
+
+        def mean_wm(mu, k):  # mean(w m) at mu, w in out
+            np.clip(np.add(np.multiply(inv, k * mu, out=out), base, out=out), 0.0, 1.0, out=out)
+            return float(np.dot(mf, out.reshape(-1))) / n
+
+        seen = []  # (lam, excess) of each lam tried
+
+        def excess(lam):  # r_ed(w_lam) - r_ea, w_lam in out
+            d = beta + lam / n
+            if d == 0:
+                out.fill(0.0)
+                seen.append((lam, -b_ed - r_ea))
+                return seen[-1][1]
+            c = alpha / (2.0 * d)
+            if c > 0:
+                with np.errstate(over="ignore"):  # -inf: no weight
+                    np.multiply(inv2, -c, out=base)
+                np.add(base, beta / d, out=base)
+            else:
+                base.fill(beta / d)
+            k = lam / (n * d)
+            self.mu = _falling_root(lambda mu: mean_wm(mu, k) - mu, 0.0, mass,
+                                    min(max(self.mu, 0.0), mass), lambda fx: fx, ROOT_TOL * mass)
+            np.multiply(m, out, out=base)
+            mean = float(bf.sum()) / n
+            seen.append((lam, float(np.dot(bf, bf)) / n - mean * mean - b_ed - r_ea))
+            return seen[-1][1]
+
+        def newton(fx):
+            return -fx / self.slope if self.slope < 0 else math.copysign(0.05, fx)
+
+        self.lam = _falling_root(excess, 0.0, 1.0, self.lam, newton, ROOT_TOL)
+        if len(seen) > 1 and seen[-2][0] != seen[-1][0]:
+            self.slope = (seen[-1][1] - seen[-2][1]) / (seen[-1][0] - seen[-2][0])
+        if not alpha:  # m = 0 pixels kept base = beta / d
+            out *= pos
+        return out
+
+
+def _logits(weights: np.ndarray) -> np.ndarray:
+    """log(w / (1 - w)), clipped to +-1000, where `sigmoid` is exactly 1 / 0."""
+    with np.errstate(divide="ignore"):
+        return np.clip(np.log(weights) - np.log1p(-weights), -1000.0, 1000.0)
+
+
 def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool,
               ws: _Workspace | None = None):
     """Objective parts and, optionally, gradients w.r.t. theta and logits.
 
     With logits=None only the alignment regret b_ea - f_ea is evaluated
     (worst_regret and total equal it): the denoising parts are NaN, alpha and
-    b_ed are unused, and there is no logit gradient. Its arrays live in ws's
-    five maps (a fresh _Workspace when None) until the next call; dlogits is ws.adev.
+    b_ed are unused, and there is no logit gradient. With an `_Exact` the
+    weights are the ones minimizing the objective at theta, and the theta
+    gradient is Danskin's, the objective's at those weights with the
+    multiplier lam on the regret max; there is no logit gradient either.
+    Otherwise the weights are sigmoid(logits). A total that is not finite
+    gets no gradients (None). Its arrays live in ws's five
+    maps (a fresh _Workspace when None) until the next call; the weights are
+    ws.wts, and dlogits is ws.adev.
     """
     if ws is None:
         ws = _Workspace(window, cfg, theta.model)
@@ -260,11 +399,15 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
     dev = np.subtract(m, mu_m, out=ws.dev)
     f_ea = float(np.square(dev, out=tmp).mean())
     r_ea = b_ea - f_ea
+    exact = isinstance(logits, _Exact)
     if logits is None:
         nan = r_ed = math.nan
         parts = ObjectiveParts(f_ea, nan, r_ea, nan, r_ea, nan, nan, r_ea)
     else:
-        wts = sigmoid(logits, out=ws.wts)
+        if exact:
+            wts = logits.solve(m, r_ea, b_ed, alpha, cfg.beta, ws.wts, ws.adev, ws.resid, tmp)
+        else:
+            wts = sigmoid(logits, out=ws.wts)
         adev = np.multiply(wts, m, out=ws.adev)
         mu_w = adev.mean()
         adev -= mu_w
@@ -276,26 +419,33 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
         fidelity = float(np.square(resid, out=tmp).sum())
         total = worst + alpha * l1 + cfg.beta * fidelity
         parts = ObjectiveParts(f_ea, f_ed, r_ea, r_ed, worst, l1, fidelity, total)
-    # subgradient of max(r_ea, r_ed), r_ed weighted by w_ed and r_ea by w_ea = 1 - w_ed:
-    # off a tie the inactive regret's terms are +-0 and leave the active one's bits
-    w_ed = 0.5 * ((r_ed > r_ea) + (r_ed >= r_ea))  # 1, 0 or 1/2 on a tie; 0 if r_ed is NaN
-    if not want_grads:
+    if exact:
+        w_ed = logits.lam
+    else:
+        # subgradient of max(r_ea, r_ed), r_ed weighted by w_ed and r_ea by w_ea = 1 - w_ed:
+        # off a tie the inactive regret's terms are +-0 and leave the active one's bits
+        w_ed = 0.5 * ((r_ed > r_ea) + (r_ed >= r_ea))  # 1, 0 or 1/2 on a tie; 0 if r_ed is NaN
+    if not (want_grads and math.isfinite(parts.total)):
         return parts, None, None
 
     coef = np.multiply(-(2.0 * (1.0 - w_ed) / n_pix), dev, out=dev)  # -(2 w_ea / n) dev
     dlogits = None
     if logits is not None:
         # dlog_r = (2 w_ed / n) (a - mu_w) m; its coef term has wts for m
-        dlogits = np.multiply(2.0 * w_ed / n_pix, adev, out=adev)
-        coef += np.multiply(dlogits, wts, out=tmp)
-        dlogits *= m
-        # coef + 2 beta (wts - 1) resid; (dlog_r + alpha + 2 beta resid m) wts (1 - wts)
-        coef += np.multiply(np.multiply(2.0 * cfg.beta, np.subtract(wts, 1.0, out=tmp), out=tmp),
-                            resid, out=tmp)
-        dlogits += alpha
-        dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
-        dlogits *= wts
-        dlogits *= np.subtract(1.0, wts, out=tmp)
+        dlog_r = np.multiply(2.0 * w_ed / n_pix, adev, out=adev)
+        coef += np.multiply(dlog_r, wts, out=tmp)
+        # coef + 2 beta (wts - 1) resid, beta applied first: wts = 1 gives 0 for any
+        # finite beta; (dlog_r + alpha + 2 beta resid m) wts (1 - wts)
+        fid = np.multiply(np.multiply(np.subtract(wts, 1.0, out=tmp), cfg.beta, out=tmp), resid,
+                          out=tmp)
+        fid *= 2.0
+        coef += fid
+        if not exact:
+            dlogits = np.multiply(dlog_r, m, out=dlog_r)
+            dlogits += alpha
+            dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
+            dlogits *= wts
+            dlogits *= np.subtract(1.0, wts, out=tmp)
     dtheta = warp_pullback(cache.position_gradient(coef, ws.dpos), ws.positions, ws.dt, theta,
                            ws.center)
     return parts, dtheta, dlogits
@@ -320,7 +470,8 @@ def objective(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
 
 def objective_gradients(window: EventWindow, theta: MotionParams, conf: ConfidenceMap,
                         cfg: JointConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (d total / d theta, d total / d logits) at (theta, conf)."""
+    """Analytic (d total / d theta, d total / d logits) at (theta, conf); both
+    None where the total is not finite."""
     _, dtheta, dlogits = _evaluate_explicit(window, theta, conf, cfg, want_grads=True)
     return dtheta, dlogits
 
@@ -337,61 +488,81 @@ def _guarded_start(ws: _Workspace, start: MotionParams | None) -> MotionParams |
     return start if f_start > ws.b_ed else None
 
 
-def _descend(ws: _Workspace, iterations: int, b_ea: float, logits: np.ndarray | None = None,
-             theta: MotionParams | None = None, state: AdamState | None = None, on_step=None):
-    """Full-batch Adam descent on ws's objective (its window, config, model,
-    alpha and b_ed) from theta (zero motion if None), at most `iterations` steps.
+def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
+             theta: MotionParams | None = None, on_step=None):
+    """BFGS descent of ws's objective (its window, config, model, alpha and
+    b_ed) over phi = theta * ws.span, pixels across the window, from theta
+    (zero motion if None), at most `iterations` steps.
 
-    Steps phi = theta * ws.span (pixels across the window) at LR_THETA,
-    whatever the window duration or the motion's magnitude. With
-    logits=None only the alignment regret b_ea - f_ea is descended (f_ea
-    ascends); otherwise the logits step at LR_LOGITS after phi. Every
-    STOP_EVERY steps the point just evaluated is compared with the previous
-    check's: once phi moved at most STOP_EVERY * STOP_PX px per axis and no
-    weight more than STOP_WEIGHT, it is the end point. The rule reads neither
-    the objective nor the gradients. Each evaluation runs in ws's five maps
-    (dlogits lives in ws.adev until the next) and each step updates copies
-    of phi and logits in place. At the cap the end point is evaluated once
-    more without gradients; either way its warped positions and weights are
-    left in ws.warped and ws.wts. phi's Adam moments and
-    step count start from `state` (zeros when None), which the descent
-    updates in place, so a descent that resumes another's carries on its
-    bias correction. on_step(it, parts), if given, is called with each
-    stepped point as its step is taken; nothing is kept per step.
-    Returns (theta, logits, the number of steps, end point's parts, phi's
-    Adam state if the descent stopped at the cap, else None: a settled
-    descent has no motion left to hand on); NonFiniteObjective if any
-    evaluation's total is not finite.
+    Without `joint` only the alignment regret b_ea - f_ea is descended (f_ea
+    ascends); with it, every evaluation solves the confidence weights
+    exactly (`_Exact`), so the descent minimizes Phi(theta) = min_w F(theta,
+    w) over theta alone. The merit compared is the total shifted by -b_ea
+    before any cancellation, max(-f_ea, r_ed - b_ea) + alpha l1 + beta
+    fidelity: -f_ea alone without `joint`. A step is one backtracking line
+    search along -H g, H the inverse-Hessian estimate (the first step moves
+    phi STEP0_PX px along -g); it ends at the first point with Armijo's
+    decrease, each evaluated with gradients. The descent has settled once a
+    step, proposed or taken, or the line search's last trial moves phi at
+    most STOP_PX px on every axis. Whatever stops it, ws holds the end
+    point's warped positions and weights (ws.wts). on_step(it, parts), if
+    given, is called with each point a step leaves, once the step is taken;
+    nothing is kept per step. Returns (theta, the number of steps, the end
+    point's parts, "settled" or "cap"); NonFiniteObjective if an
+    evaluation's total is not finite or its gradient is above MAX_GRAD.
     """
-    phi = np.zeros(model_dim(ws.model)) if theta is None else theta.values * ws.span
-    phi_then, wts_then = phi.copy(), None
-    if logits is not None:
-        logits = np.array(logits, dtype=np.float64)
-        wts_then = np.empty_like(logits)
-    state_phi = AdamState.zeros_like(phi) if state is None else state
-    state_log = None if logits is None else AdamState.zeros_like(logits)
-    for it in range(iterations + 1):
+    weights = _Exact() if joint else None
+    beta = ws.cfg.beta
+    it = 0
+
+    def evaluate(phi, want_grads):
         theta = MotionParams(ws.model, phi / ws.span)
-        parts, dtheta, dlogits = _evaluate(ws.window, theta, logits, ws.cfg, ws.alpha, b_ea,
-                                           ws.b_ed, want_grads=it < iterations, ws=ws)
+        parts, dtheta, _ = _evaluate(ws.window, theta, weights, ws.cfg, ws.alpha, b_ea, ws.b_ed,
+                                     want_grads, ws)
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
-        if it == iterations:
-            return theta, logits, it, parts, state_phi
-        if it % STOP_EVERY == 0:
-            if it and np.abs(phi - phi_then).max() <= STOP_EVERY * STOP_PX and (
-                    wts_then is None
-                    or np.abs(np.subtract(ws.wts, wts_then, out=ws.tmp), out=ws.tmp).max()
-                    <= STOP_WEIGHT):
-                return theta, logits, it, parts, None
-            phi_then[:] = phi
-            if wts_then is not None:
-                wts_then[...] = ws.wts
+        if dtheta is not None and not np.abs(dtheta).max() / ws.span <= MAX_GRAD:  # NaN too
+            raise NonFiniteObjective(f"motion gradient NaN or above {MAX_GRAD:g} in magnitude at "
+                                     f"iteration {it}; lower the objective's weights")
+        merit = -parts.f_ea if weights is None else (
+            max(-parts.f_ea, parts.r_ed - b_ea) + ws.alpha * parts.l1 + beta * parts.fidelity)
+        return theta, parts, merit, None if dtheta is None else dtheta / ws.span
+
+    phi = np.zeros(model_dim(ws.model)) if theta is None else theta.values * ws.span
+    theta, parts, merit, grad = evaluate(phi, iterations > 0)
+    hess = None
+    for it in range(iterations):
+        if not grad.any():
+            return theta, it, parts, "settled"
+        step = None if hess is None else -(hess @ grad)
+        if step is None or not grad @ step < 0:  # the first step, or H lost its curvature
+            step = -(STEP0_PX / np.abs(grad).max()) * grad
+        if np.abs(step).max() <= STOP_PX:
+            return theta, it, parts, "settled"
+        slope, t = float(grad @ step), 1.0
+        while True:
+            new = evaluate(phi + t * step, True)
+            if new[2] <= merit + ARMIJO_C1 * t * slope:
+                break
+            # the minimum of the quadratic through merit, slope and the trial, within [t/10, t/2]
+            t *= min(max(-0.5 * slope * t / (new[2] - merit - slope * t), 0.1), 0.5)
+            if t * np.abs(step).max() <= STOP_PX:  # no decrease this close: phi is the minimum
+                theta, parts, _, _ = evaluate(phi, False)
+                return theta, it, parts, "settled"
         if on_step is not None:
             on_step(it, parts)
-        phi, state_phi = adam_step(phi, dtheta / ws.span, state_phi, LR_THETA)
-        if logits is not None:
-            logits, state_log = adam_step(logits, dlogits, state_log, LR_LOGITS)
+        s, y = t * step, new[3] - grad
+        phi = phi + s
+        theta, parts, merit, grad = new
+        sy = float(s @ y)
+        if sy > 0:  # BFGS update of H (Nocedal & Wright, eq. 6.17), scaled first by eq. 6.20
+            if hess is None:
+                hess = (sy / float(y @ y)) * np.eye(len(s))
+            v = np.eye(len(s)) - np.outer(s, y) / sy
+            hess = v @ hess @ v.T + np.outer(s, s) / sy
+        if np.abs(s).max() <= STOP_PX:
+            return theta, it + 1, parts, "settled"
+    return theta, iterations, parts, "cap"
 
 
 def _all_noise(window: EventWindow, theta: MotionParams, **record) -> JointResult:
@@ -404,7 +575,7 @@ def _all_noise(window: EventWindow, theta: MotionParams, **record) -> JointResul
 
 def cmax(window: EventWindow, model: str, cfg: JointConfig,
          start: MotionParams | None = None) -> JointResult:
-    """Contrast maximization: Adam ascent on the alignment variance alone,
+    """Contrast maximization: the BFGS ascent of the alignment variance alone,
     `solve`'s warm start run to at most cfg.iterations steps, from zero
     motion or from start under `solve`'s guard. It labels no event signal;
     the result records the steps as warm_iterations, stop_reason and
@@ -414,56 +585,52 @@ def cmax(window: EventWindow, model: str, cfg: JointConfig,
         return _all_noise(window, MotionParams.zero(model))
     ws = _Workspace(window, cfg, model)
     seed = _guarded_start(ws, start)
-    theta, _, steps, _, capped = _descend(ws, cfg.iterations, 0.0, theta=seed)
+    theta, steps, _, stop = _descend(ws, cfg.iterations, 0.0, theta=seed)
     return _all_noise(window, theta, warm_iterations=steps, seeded=seed is not None,
-                      stop_reason="settled" if capped is None else "cap")
+                      stop_reason=stop)
 
 
 def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
           start: MotionParams | None = None, on_step=None) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
 
-    Runs `_descend` from theta = 0 and logits = 0 (weights 0.5), both phases
-    in one workspace; each stops once it settles, the joint phase after at
-    most cfg.iterations steps. With a warm-started alignment baseline, an
-    alignment-only phase of at most half the iteration budget runs first and
-    b_ea is kappa times f_ea at its end point; the joint phase then starts
-    from the warm-started motion. If the warm start stopped at its cap it was
-    still moving, and the joint phase resumes its motion's Adam moments and
-    step count (`resumed`); if it settled, the joint phase starts from zero
-    moments, since a settled descent's small second moment would inflate the
-    first joint steps. A `start` (say, the previous window's
-    motion) is guarded: the alignment variance f_ea is evaluated at start,
-    without gradients, and the first phase begins at start only if its f_ea
-    is strictly larger than b_ed, the unwarped map's variance and so f_ea at
+    Runs `_descend` from theta = 0, both phases in one workspace; each stops
+    once it settles, the joint phase after at most cfg.iterations steps.
+    With a warm-started alignment baseline, an alignment-only phase of at
+    most half the iteration budget runs first and b_ea is kappa times f_ea at
+    its end point; the joint phase then starts from the warm-started motion.
+    The joint phase solves the weights exactly at every evaluation, so it
+    steps theta alone. A `start` (say, the previous window's motion) is
+    guarded: the alignment variance f_ea is evaluated at start, without
+    gradients, and the first phase begins at start only if its f_ea is
+    strictly larger than b_ed, the unwarped map's variance and so f_ea at
     zero motion (`seeded` records which). A seed that no longer fits, as
     after the motion reverses, thus costs one evaluation and changes
-    nothing; without start the solve is the unseeded one, bit for bit. Each
-    event's confidence is the bilinear sample of the final weights at its
-    warped position, both of which the joint phase's end evaluation leaves
-    in the workspace; it is signal when that reaches tau. A window of fewer
-    than DEGENERATE_MIN_EVENTS events gets zero motion, an all-noise map,
-    confidence 0, NaN b_ed and stop_reason None, and allocates no maps; the
-    result states the case, so no warning is raised.
-    on_step, if given, sees the joint phase's steps as `_descend` takes them.
-    Deterministic: the solver is full-batch.
+    nothing; without start the solve is the unseeded one, bit for bit. The
+    confidence map's logits are log(w / (1 - w)) of the joint phase's end
+    weights, clipped to +-1000; each event's confidence is the bilinear
+    sample of the map's weights at its warped position, which the end
+    evaluation leaves in the workspace, and it is signal when that reaches
+    tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets zero
+    motion, an all-noise map, confidence 0, NaN b_ed and stop_reason None,
+    and allocates no maps; the result states the case, so no warning is
+    raised. on_step, if given, sees the joint phase's steps as `_descend`
+    takes them. Deterministic: the solver is full-batch.
     """
     if len(window) < DEGENERATE_MIN_EVENTS:
         return _all_noise(window, MotionParams.zero(model), alpha=_resolve_alpha(cfg))
 
     ws = _Workspace(window, cfg, model)
     theta = seed = _guarded_start(ws, start)
-    warm, state = 0, None
+    warm, warm_stop = 0, None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, _, warm, end, state = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
+        theta, warm, end, warm_stop = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
-    theta, logits, steps, final, capped = _descend(
-        ws, cfg.iterations, b_ea, np.zeros(window.geometry.shape), theta, state, on_step)
-    confidence = interpolate_confidence(ws.wts, ws.warped)
-    return JointResult(theta, ConfidenceMap(logits), confidence >= cfg.tau, confidence,
-                       iterations=steps, final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=ws.alpha,
-                       stop_reason="settled" if capped is None else "cap",
-                       warm_iterations=warm, seeded=seed is not None,
-                       resumed=state is not None)
+    theta, steps, final, stop = _descend(ws, cfg.iterations, b_ea, True, theta, on_step)
+    conf = ConfidenceMap(_logits(ws.wts))
+    confidence = interpolate_confidence(conf.weights, ws.warped)
+    return JointResult(theta, conf, confidence >= cfg.tau, confidence, iterations=steps,
+                       final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=ws.alpha, stop_reason=stop,
+                       warm_iterations=warm, warm_stop_reason=warm_stop, seeded=seed is not None)

@@ -9,7 +9,7 @@ from evjoint.baselines import (BAF_MAX_WORK, BAF_OFFSET_EVENTS, BafConfig, baf_f
                                cmax_solve, sequential_pipeline)
 from evjoint.contrast import hard_map, smooth_map
 from evjoint.events import Events, EventWindow, SensorGeometry
-from evjoint.joint import LR_THETA, ExplicitBaseline, JointConfig, solve
+from evjoint.joint import ExplicitBaseline, JointConfig, cmax, solve
 from evjoint.synth import Dot, MultiEdge, SceneSpec, generate
 from evjoint.warp import MotionParams, warp
 
@@ -169,9 +169,9 @@ class TestCmax:
 
     def test_pure_noise_finds_no_structure(self):
         # On structureless input the only variance the solver can harvest is
-        # the border effect of pushing events off the frame, bounded by the
-        # step budget; genuine structure yields gains an order of magnitude
-        # larger under the same budget.
+        # the border effect of pushing events off the frame, at a local
+        # optimum the ascent settles in; genuine structure yields gains an
+        # order of magnitude larger.
         rng = np.random.default_rng(8)
         n = 2000
         ev = Events(rng.uniform(0, 64, n), rng.uniform(0, 64, n),
@@ -179,13 +179,12 @@ class TestCmax:
                     rng.choice(np.array([-1, 1], dtype=np.int8), n))
         w = EventWindow(ev, G, 0.0, 0.1, 0.05)
         cfg = JointConfig()
-        theta = cmax_solve(w, "translation2d", cfg)
+        res = cmax(w, "translation2d", cfg)
         f0 = np.var(smooth_map(w.positions, G).values)
-        f1 = np.var(smooth_map(warp(w, theta), G).values)
+        f1 = np.var(smooth_map(warp(w, res.theta), G).values)
         noise_gain = f1 / f0 - 1.0
         assert noise_gain < 0.25
-        budget = cfg.iterations * LR_THETA / (w.t_end - w.t_start)
-        assert np.linalg.norm(theta.values) <= budget
+        assert res.stop_reason == "settled" and res.warm_iterations < cfg.iterations
 
         spec = SceneSpec(G, Dot((20.0, 30.0), 6.0), MotionParams.translation(40.0, 20.0), 0.3)
         window, _, _ = generate(spec, seed=0)
