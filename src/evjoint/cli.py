@@ -141,8 +141,9 @@ def _add_joint_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b-ea", type=float, default=None,
                         help="explicit alignment baseline (overrides --kappa)")
     parser.add_argument("--iters", type=int, default=JointConfig().iterations,
-                        help="most joint-phase steps per window (the warm start runs at most "
-                             "half as many); a phase stops earlier once it settles")
+                        help="most joint-phase steps per window, one line search each (the warm "
+                             "start runs at most half as many); a phase stops earlier once it "
+                             "settles")
     parser.add_argument("--sigma", type=float, default=JointConfig().sigma)
     parser.add_argument("--tau", type=float, default=JointConfig().tau)
     parser.add_argument("--window-ms", type=float, default=None)
