@@ -93,7 +93,7 @@ def baf_filter(window: EventWindow, cfg: BafConfig) -> np.ndarray:
 
 def cmax_solve(window: EventWindow, model: str, cfg: JointConfig,
                theta: MotionParams | None = None) -> MotionParams:
-    """Estimate motion by Adam ascent on the alignment variance alone, from
+    """Estimate motion by BFGS ascent on the alignment variance alone, from
     zero motion or, if its alignment variance is strictly larger, from theta
     (the guard `solve` puts on its `start`)."""
     return cmax(window, model, cfg, theta).theta

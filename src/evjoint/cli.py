@@ -1,7 +1,9 @@
 """Command-line front end: synth, denoise, estimate-motion, eval, render.
 
-Every output file gets a JSON sidecar (<output>.json) recording the full
-invocation so a run can be reproduced exactly. Exit codes: 0 success,
+Every output file gets a JSON sidecar (<output>.json, "schema": 2)
+recording the full invocation so a run can be reproduced exactly. `denoise`
+also writes <output>.confidence.npy: one little-endian float64 ('<f8')
+confidence per event, in the output's record order. Exit codes: 0 success,
 1 usage error, 2 data error.
 """
 
@@ -87,6 +89,7 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
 def _sidecar(path, command: str, args: argparse.Namespace, extra: dict) -> None:
     record = {
         "tool": "evjoint",
+        "schema": 2,
         "version": __version__,
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
@@ -242,11 +245,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         confidences.append(res.confidence)
         records.append(_window_record(w, res))
     labels = np.concatenate(labels_out) if labels_out else np.zeros(0, dtype=bool)
+    confidence = np.concatenate(confidences) if confidences else np.zeros(0)
     write_events(events, args.output, labels=labels, geometry=geometry)
+    np.save(f"{args.output}.confidence.npy", confidence.astype("<f8", copy=False),
+            allow_pickle=False)
     _sidecar(args.output, "denoise", args, {
         "windows": records,
         "counts": {"events": len(events), "signal_pred": int(labels.sum())},
-        "confidence": [c.tolist() for c in confidences],
     })
     return EXIT_OK
 

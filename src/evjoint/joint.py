@@ -443,7 +443,8 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
         if not exact:
             dlogits = np.multiply(dlog_r, m, out=dlog_r)
             dlogits += alpha
-            dlogits += np.multiply(np.multiply(2.0 * cfg.beta, resid, out=tmp), m, out=tmp)
+            fid = np.multiply(np.multiply(resid, cfg.beta, out=tmp), m, out=tmp)  # beta first
+            dlogits += np.multiply(fid, 2.0, out=fid)
             dlogits *= wts
             dlogits *= np.subtract(1.0, wts, out=tmp)
     dtheta = warp_pullback(cache.position_gradient(coef, ws.dpos), ws.positions, ws.dt, theta,

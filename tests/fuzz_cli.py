@@ -8,8 +8,10 @@ Runs every numeric flag of `synth`, `denoise`, `estimate-motion` and
 1e200 values and with repeated times.
 Each case runs in its own subprocess, one at a time, under an address-space
 limit of 2 GiB, a 60 s timeout and PYTHONWARNINGS=error::RuntimeWarning.
-A case fails on a traceback, an exit code outside {0, 1, 2}, a timeout, or
-an exit 2 whose stderr holds more than its one error line (log lines aside).
+A case fails on a traceback, an exit code outside {0, 1, 2}, a timeout,
+an exit 2 whose stderr holds more than its one error line (log lines aside),
+or a `denoise` exit 0 that leaves no `<out>.confidence.npy` of one float64
+per record of the output `.evj`.
 
     python tests/fuzz_cli.py        # exits 1 if any case fails
 
@@ -21,11 +23,14 @@ from __future__ import annotations
 
 import os
 import resource
+import struct
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ADDRESS_SPACE = 2 << 30
@@ -112,7 +117,22 @@ def problem(code: int | None, stderr: str) -> str | None:
     return None
 
 
-def cases(tmp: Path) -> list[tuple[str, list[str]]]:
+def confidence_problem(out: Path) -> str | None:
+    """Why a `denoise` run that exited 0 left no full confidence file beside
+    its output .evj out, or None when it did."""
+    try:
+        with open(out, "rb") as f:
+            (records,) = struct.unpack("<Q", f.read(20)[12:])  # the header's event count
+        conf = np.load(f"{out}.confidence.npy", allow_pickle=False)
+    except (OSError, ValueError, struct.error) as exc:
+        return f"unreadable output or confidence file: {exc}"
+    if conf.dtype.str != "<f8" or conf.shape != (records,):
+        return f"confidence file holds {conf.shape} {conf.dtype.str}, not ({records},) <f8"
+    return None
+
+
+def cases(tmp: Path) -> list[tuple[str, list[str], Path | None]]:
+    """(name, argv, the output .evj of a denoise case or None) of every case."""
     out = []
     for command, base, flag, extra in FLAGS:
         for value in GEOMETRIES if flag == "--geometry" else VALUES:
@@ -121,12 +141,13 @@ def cases(tmp: Path) -> list[tuple[str, list[str]]]:
             given = f"{value},{value}" if flag in PAIRS else value
             argv = [a.replace("{in}", str(tmp / "in.evj")).replace("{out}", str(path))
                     for a in base]
-            out.append((name, [command, *argv, *extra, f"{flag}={given}"]))
+            out.append((name, [command, *argv, *extra, f"{flag}={given}"],
+                        path if command == "denoise" else None))
     for name, est, gt in TRAJECTORIES:
         (tmp / f"{name}.est.csv").write_text(est)
         (tmp / f"{name}.gt.csv").write_text(gt)
         out.append((f"eval --rmse {name}", ["eval", "--rmse", str(tmp / f"{name}.est.csv"),
-                                            "--gt", str(tmp / f"{name}.gt.csv")]))
+                                            "--gt", str(tmp / f"{name}.gt.csv")], None))
     return out
 
 
@@ -141,9 +162,11 @@ def main() -> int:
         all_cases = cases(tmp)
         failures = 0
         start = time.perf_counter()
-        for name, argv in all_cases:
+        for name, argv, evj in all_cases:
             code, stderr = run_cli(argv, tmp)
             why = problem(code, stderr)
+            if why is None and code == 0 and evj is not None:
+                why = confidence_problem(evj)
             if why is not None:
                 failures += 1
                 print(f"FAIL {name}: {why}\n{stderr.rstrip()}\n")

@@ -27,6 +27,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def confidences(out) -> np.ndarray:
+    """The per-event confidences `denoise` wrote beside out."""
+    return np.load(f"{out}.confidence.npy")
+
+
 @pytest.fixture()
 def synth_file(tmp_path):
     out = tmp_path / "in.evj"
@@ -99,7 +104,7 @@ class TestSynth:
         assert loaded.labels is not None
         assert loaded.geometry.width == 64
         side = json.loads((synth_file.parent / "in.evj.json").read_text())
-        assert side["command"] == "synth"
+        assert side["command"] == "synth" and side["schema"] == 2
         assert side["counts"]["events"] == len(loaded.events)
         assert side["theta_gt"] == [-30.0, 10.0]
 
@@ -125,7 +130,7 @@ class TestPipeline:
         assert side["command"] == "denoise"
         assert len(side["windows"]) == 1
         assert "theta" in side["windows"][0]
-        assert len(side["confidence"][0]) == side["counts"]["events"]
+        assert len(confidences(out)) == side["counts"]["events"]
 
         assert run("eval", "--pred", str(out), "--truth", str(synth_file),
                    "--esr") == 0
@@ -237,9 +242,38 @@ class TestPipeline:
                        "--window-count", "7") == 0
         side = json.loads((tmp_path / "out.evj.json").read_text())
         assert side["counts"]["signal_pred"] == 0
-        confidence = [c for window in side["confidence"] for c in window]
+        confidence = confidences(out)
         assert len(confidence) == side["counts"]["events"]
-        assert set(confidence) == {0.0}
+        assert (confidence == 0.0).all()
+
+    def test_confidence_file_layout(self, synth_file, tmp_path):
+        out = tmp_path / "out.evj"
+        assert run("denoise", "-i", str(synth_file), "-o", str(out)) == 0
+        confidence = confidences(out)
+        side_path = Path(f"{out}.json")
+        side = json.loads(side_path.read_text())
+        assert confidence.dtype.str == "<f8" and confidence.ndim == 1
+        assert len(confidence) == side["counts"]["events"] == len(read_events(out).events)
+        assert side["schema"] == 2 and "confidence" not in side
+        # one window of 4,219 events: its sidecar held 110 KB of confidences in schema 1
+        assert side_path.stat().st_size < 8192
+
+    def test_confidence_file_slices_are_window_solves(self, synth_file, tmp_path):
+        # each window's slice, cut by the records' event counts, is its solve's samples
+        out = tmp_path / "out.evj"
+        assert run("denoise", "-i", str(synth_file), "-o", str(out), "--window-ms", "40",
+                   "--iters", "10") == 0
+        confidence = confidences(out)
+        records = json.loads(Path(f"{out}.json").read_text())["windows"]
+        cuts = np.cumsum([0] + [rec["counts"]["events"] for rec in records])
+        loaded = read_events(synth_file)
+        windows = window_stream(loaded.events, loaded.geometry, FixedDuration(0.04))
+        assert len(windows) == len(records) == 3 and cuts[-1] == len(confidence)
+        start = None
+        for w, a, b in zip(windows, cuts[:-1], cuts[1:]):
+            res = solve(w, JointConfig(iterations=10), "translation2d", start)
+            assert confidence[a:b].tobytes() == res.confidence.tobytes()
+            start = None if res.stop_reason is None else res.theta  # as the CLI seeds
 
     def test_estimate_motion_csv(self, synth_file, tmp_path):
         out = tmp_path / "traj.csv"
@@ -286,6 +320,7 @@ class TestPipeline:
         assert run("denoise", "-i", str(synth_file), "-o", str(outs[1]), "--method", "baf",
                    "--window-count", str(2**63)) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert confidences(outs[0]).tobytes() == confidences(outs[1]).tobytes()
         sides = [json.loads(Path(f"{out}.json").read_text()) for out in outs]
         for side in sides:
             del side["config"]["output"], side["config"]["window_count"]
@@ -431,9 +466,9 @@ class TestPipeline:
         side = json.loads((tmp_path / "out.evj.json").read_text())
         (rec,) = side["windows"]
         assert rec["theta"] == [0.0, 0.0] and rec["iterations"] == 0
-        (confidence,) = side["confidence"]
+        confidence = confidences(out)
         assert len(confidence) == rec["counts"]["events"]
-        assert (np.array(confidence) >= 0.5).tolist() == read_events(out).labels.tolist()
+        assert (confidence >= 0.5).tolist() == read_events(out).labels.tolist()
         # the warm start stops at its cap of 0
         assert "theta=[0.0, 0.0], 0 warm (cap) + 0 joint steps (cap)" in caplog.text
 
@@ -890,3 +925,5 @@ class TestReproducibility:
         assert run("denoise", "-i", str(a), "-o", str(out_a), "--iters", "40") == 0
         assert run("denoise", "-i", str(a), "-o", str(out_b), "--iters", "40") == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        assert (Path(f"{out_a}.confidence.npy").read_bytes()
+                == Path(f"{out_b}.confidence.npy").read_bytes())

@@ -263,6 +263,16 @@ class TestObjectiveGradients:
         wts = sigmoid(logits)
         assert np.allclose(dlog, 7e-3 * wts * (1.0 - wts), atol=1e-15)
 
+    def test_huge_beta_at_unit_weights(self):
+        # weights exactly 1 leave a zero residual, so beta is applied before the
+        # 2: 2 * 9e307 overflows to inf, and inf times that zero is NaN
+        window = random_window(np.random.default_rng(1))
+        cfg = JointConfig(alpha=0.0, beta=9e307, b_ea=ExplicitBaseline(1.0))
+        dtheta, dlog = objective_gradients(window, MotionParams.translation(0.0, 0.0),
+                                           ConfidenceMap(np.full(G16.shape, 40.0)), cfg)
+        assert np.isfinite(dtheta).all()
+        assert (dlog == 0.0).all()
+
     @pytest.mark.parametrize("theta", [MotionParams.translation(4.0, -6.0),
                                        MotionParams.rotation(2.0)], ids=lambda t: t.model)
     def test_alignment_only_matches_fd(self, theta):
