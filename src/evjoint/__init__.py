@@ -21,13 +21,11 @@ from .events import (
     write_events,
 )
 from .joint import (
-    AdamState,
     ExplicitBaseline,
     JointConfig,
     JointResult,
     ObjectiveParts,
     WarmStartScaled,
-    adam_step,
     interpolate_confidence,
     objective,
     objective_gradients,
@@ -40,7 +38,6 @@ from .warp import MotionParams, warp, warp_pullback
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "BafConfig",
     "ConfidenceMap",
     "ConfusionCounts",
@@ -63,7 +60,6 @@ __all__ = [
     "SensorGeometry",
     "VerticalEdge",
     "WarmStartScaled",
-    "adam_step",
     "baf_filter",
     "cmax_solve",
     "confusion",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contrast import ConfidenceMap, hard_map
+from .contrast import hard_map
 from .events import EventWindow
 from .joint import JointConfig, JointResult, cmax, interpolate_confidence
 from .warp import MotionParams, warp
@@ -100,13 +100,12 @@ def cmax_solve(window: EventWindow, model: str, cfg: JointConfig,
 
 
 def kept_result(window: EventWindow, keep: np.ndarray, theta: MotionParams) -> JointResult:
-    """A density filter's labels `keep` with motion theta. The confidence map
-    is the binary mask of pixels holding a kept event warped by theta, the
-    frame `solve`'s map is in; each event's confidence samples it there."""
+    """A density filter's labels `keep` with motion theta. The weights are
+    the binary mask of pixels holding a kept event warped by theta, the frame
+    `solve`'s weights are in; each event's confidence samples them there."""
     warped = warp(window, theta)
-    mask = hard_map(warped[keep], window.geometry).values > 0
-    return JointResult(theta, ConfidenceMap.from_weights_mask(mask), keep,
-                       interpolate_confidence(mask, warped))
+    weights = (hard_map(warped[keep], window.geometry).values > 0).astype(np.float64)
+    return JointResult(theta, weights, keep, interpolate_confidence(weights, warped))
 
 
 def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig, cmax_cfg: JointConfig,
@@ -121,4 +120,4 @@ def sequential_pipeline(window: EventWindow, baf_cfg: BafConfig, cmax_cfg: Joint
     kept = replace(window, events=window.events.take(keep), check_sorted=False)  # a sorted subset
     res = cmax(kept, model, cmax_cfg, theta)
     labelled = kept_result(window, keep, res.theta)
-    return replace(res, conf=labelled.conf, labels=keep, confidence=labelled.confidence)
+    return replace(res, weights=labelled.weights, labels=keep, confidence=labelled.confidence)

@@ -60,8 +60,8 @@ class ContrastMap:
 
 def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """Logistic 1 / (1 + exp(-x)) as 0.5 (1 + tanh(x / 2)), in place into out if
-    given: within 2.2e-16 of the exp form, exactly 1.0 / 0.0 at +-1000, and 0.0
-    below about x = -37, where the exp form returns about exp(x)."""
+    given: within 2.2e-16 of the exp form, exactly 1.0 above about x = 37, and
+    0.0 below about x = -38, where the exp form returns about exp(x)."""
     y = np.multiply(x, 0.5, out=out, dtype=np.float64)
     np.tanh(y, out=y)
     y += 1.0
@@ -71,11 +71,11 @@ def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConfidenceMap:
-    """Per-pixel signal confidence, stored as unconstrained logits.
+    """Per-pixel signal confidence, stored as unconstrained logits: the form
+    `objective`, `objective_gradients` and `weighted_map` take.
 
-    The usable weights are sigmoid(logits) in [0, 1], so gradient-based
-    updates never need projection; they are exactly 1.0 / 0.0 at
-    from_weights_mask's +-1000 and beyond about +37 / -38.
+    The usable weights are sigmoid(logits) in [0, 1], exactly 1.0 / 0.0
+    beyond about +37 / -38.
     """
 
     logits: np.ndarray
@@ -83,11 +83,6 @@ class ConfidenceMap:
     @classmethod
     def zeros(cls, geometry: SensorGeometry) -> "ConfidenceMap":
         return cls(np.zeros(geometry.shape))
-
-    @classmethod
-    def from_weights_mask(cls, mask: np.ndarray) -> "ConfidenceMap":
-        # +-1000 saturates the logistic to exactly 1.0 / 0.0 in float64
-        return cls(np.where(mask, 1000.0, -1000.0))
 
     @property
     def weights(self) -> np.ndarray:

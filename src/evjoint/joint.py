@@ -41,17 +41,17 @@ ALPHA_PEAK_MULTIPLES = 2.5
 
 KAPPA_DEFAULT = 1.1
 
-# Adam's moment decay rates, denominator floor and largest gradient: `adam_step`
-# is public, though no descent runs it
+# Adam's moment decay rates and denominator floor: `adam_step` is public,
+# though no descent runs it
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-ADAM_MAX_GRAD = 1e150  # the largest |gradient| adam_step takes: its square stays finite
 
 # Every descent is BFGS on phi = theta * span (pixels across the window). Its
 # first step moves phi STEP0_PX px along the steepest descent, and a step is
 # taken where the merit falls by at least ARMIJO_C1 of the linear model's
-# drop (backtracking). It has settled once a step, proposed or taken, moves
-# phi at most STOP_PX px on every axis. A gradient above MAX_GRAD in
-# magnitude is refused: BFGS's products of two stay finite.
+# drop (backtracking). It has settled once a proposed step, or a shortened
+# trial, moves phi at most STOP_PX px on every axis. A gradient above MAX_GRAD
+# in magnitude is refused, by BFGS and by `adam_step`: their products of two
+# stay finite.
 STEP0_PX, STOP_PX, ARMIJO_C1 = 1.0, 1e-4, 1e-4
 MAX_GRAD = 1e150
 
@@ -134,20 +134,21 @@ class ObjectiveParts:
 
 @dataclass(frozen=True)
 class JointResult:
-    """One window's result: theta, the motion; conf, the confidence map;
-    labels, confidence >= tau; confidence, the map's weights sampled
-    bilinearly at each event warped by theta; iterations, the joint phase's
-    step count; final, the objective's parts at its end point; b_ea, b_ed
-    and alpha, the baselines and L1 weight used; stop_reason, why the last
-    descent stopped, "settled" or "cap"; warm_iterations, the alignment-only
-    descent's step count (the warm start's, or all of `cmax`'s), and
-    warm_stop_reason, the warm start's stop (None when none ran, as under an
-    explicit b_ea or in `cmax`, whose stop is stop_reason); seeded, whether
-    the first descent began at the caller's `start`. Results no objective
-    produced keep the defaults: no steps, no stop reason, NaN baselines."""
+    """One window's result: theta, the motion; weights, the per-pixel
+    confidence map in [0, 1]; labels, confidence >= tau; confidence, the
+    weights sampled bilinearly at each event warped by theta; iterations,
+    the joint phase's step count; final, the objective's parts at its end
+    point; b_ea, b_ed and alpha, the baselines and L1 weight used;
+    stop_reason, why the last descent stopped, "settled" or "cap";
+    warm_iterations, the alignment-only descent's step count (the warm
+    start's, or all of `cmax`'s), and warm_stop_reason, the warm start's stop
+    (None when none ran, as under an explicit b_ea or in `cmax`, whose stop
+    is stop_reason); seeded, whether the first descent began at the caller's
+    `start`. Results no objective produced keep the defaults: no steps, no
+    stop reason, NaN baselines."""
 
     theta: MotionParams
-    conf: ConfidenceMap
+    weights: np.ndarray
     labels: np.ndarray
     confidence: np.ndarray
     iterations: int = 0
@@ -163,16 +164,11 @@ class JointResult:
 
 @dataclass(frozen=True)
 class AdamState:
-    """Moments, step count and two parameter-shaped scratch arrays (allocated if None)."""
+    """Adam's first and second moments and step count."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.scratch is None:
-            object.__setattr__(self, "scratch", np.empty((2,) + self.m.shape))
 
     @classmethod
     def zeros_like(cls, params: np.ndarray) -> "AdamState":
@@ -180,23 +176,19 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update of the float64 array params and of the
-    moments, in place. Returns (params, state with the moments and step);
-    ValueError if a gradient is NaN or above ADAM_MAX_GRAD in magnitude."""
+    """One bias-corrected Adam update of the float64 array params, in place.
+    Returns (params, the state with the new moments and step); ValueError if
+    a gradient is NaN or above MAX_GRAD in magnitude."""
     grads = np.asarray(grads, dtype=np.float64)
-    m, v, (a, b) = state.m, state.v, state.scratch
-    if not np.abs(grads, out=a).max() <= ADAM_MAX_GRAD:  # False for NaN too
-        raise ValueError(f"gradient passed to adam_step is NaN or above {ADAM_MAX_GRAD:g} in "
+    if not np.abs(grads).max() <= MAX_GRAD:  # False for NaN too
+        raise ValueError(f"gradient passed to adam_step is NaN or above {MAX_GRAD:g} in "
                          "magnitude; lower the objective's weights")
     step = state.step + 1
-    m *= ADAM_BETA1  # m = beta1 m + (1 - beta1) g
-    m += np.multiply(1.0 - ADAM_BETA1, grads, out=a)
-    v *= ADAM_BETA2  # v = beta2 v + (1 - beta2) g g
-    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grads, out=a), grads, out=a)
-    np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1 ** step, out=a), out=a)  # lr m_hat
-    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** step, out=b), out=b)
-    params -= np.divide(a, np.add(b, ADAM_EPS, out=b), out=a)  # / (sqrt(v_hat) + eps)
-    return params, AdamState(m, v, step, state.scratch)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat, v_hat = m / (1.0 - ADAM_BETA1 ** step), v / (1.0 - ADAM_BETA2 ** step)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params, AdamState(m, v, step)
 
 
 def interpolate_confidence(weights: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -368,12 +360,6 @@ class _Exact:
         return out
 
 
-def _logits(weights: np.ndarray) -> np.ndarray:
-    """log(w / (1 - w)), clipped to +-1000, where `sigmoid` is exactly 1 / 0."""
-    with np.errstate(divide="ignore"):
-        return np.clip(np.log(weights) - np.log1p(-weights), -1000.0, 1000.0)
-
-
 def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_grads: bool,
               ws: _Workspace | None = None):
     """Objective parts and, optionally, gradients w.r.t. theta and logits.
@@ -504,13 +490,13 @@ def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
     search along -H g, H the inverse-Hessian estimate (the first step moves
     phi STEP0_PX px along -g); it ends at the first point with Armijo's
     decrease, each evaluated with gradients. The descent has settled once a
-    step, proposed or taken, or the line search's last trial moves phi at
-    most STOP_PX px on every axis. Whatever stops it, ws holds the end
-    point's warped positions and weights (ws.wts). on_step(it, parts), if
-    given, is called with each point a step leaves, once the step is taken;
-    nothing is kept per step. Returns (theta, the number of steps, the end
-    point's parts, "settled" or "cap"); NonFiniteObjective if an
-    evaluation's total is not finite or its gradient is above MAX_GRAD.
+    proposed step or the line search's last trial moves phi at most STOP_PX
+    px on every axis. Whatever stops it, ws holds the end point's warped
+    positions and weights (ws.wts). on_step(it, parts), if given, is called
+    with each point a step leaves, once the step is taken; nothing is kept
+    per step. Returns (theta, the number of steps, the end point's parts,
+    "settled" or "cap"); NonFiniteObjective if an evaluation's total is not
+    finite or its gradient is above MAX_GRAD.
     """
     weights = _Exact() if joint else None
     beta = ws.cfg.beta
@@ -561,17 +547,14 @@ def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
                 hess = (sy / float(y @ y)) * np.eye(len(s))
             v = np.eye(len(s)) - np.outer(s, y) / sy
             hess = v @ hess @ v.T + np.outer(s, s) / sy
-        if np.abs(s).max() <= STOP_PX:
-            return theta, it + 1, parts, "settled"
     return theta, iterations, parts, "cap"
 
 
 def _all_noise(window: EventWindow, theta: MotionParams, **record) -> JointResult:
-    """Motion theta with every event noise: an all-zero map and confidence.
+    """Motion theta with every event noise: all-zero weights and confidence.
     record holds further JointResult fields."""
-    blank = ConfidenceMap.from_weights_mask(np.zeros(window.geometry.shape, dtype=bool))
-    return JointResult(theta, blank, np.zeros(len(window), dtype=bool), np.zeros(len(window)),
-                       **record)
+    return JointResult(theta, np.zeros(window.geometry.shape), np.zeros(len(window), dtype=bool),
+                       np.zeros(len(window)), **record)
 
 
 def cmax(window: EventWindow, model: str, cfg: JointConfig,
@@ -608,13 +591,12 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     zero motion (`seeded` records which). A seed that no longer fits, as
     after the motion reverses, thus costs one evaluation and changes
     nothing; without start the solve is the unseeded one, bit for bit. The
-    confidence map's logits are log(w / (1 - w)) of the joint phase's end
-    weights, clipped to +-1000; each event's confidence is the bilinear
-    sample of the map's weights at its warped position, which the end
-    evaluation leaves in the workspace, and it is signal when that reaches
-    tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets zero
-    motion, an all-noise map, confidence 0, NaN b_ed and stop_reason None,
-    and allocates no maps; the result states the case, so no warning is
+    result's weights are the joint phase's end weights; each event's
+    confidence is their bilinear sample at its warped position, which the
+    end evaluation leaves in the workspace, and it is signal when that
+    reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets zero
+    motion, all-zero weights, confidence 0, NaN b_ed and stop_reason None,
+    and allocates no workspace; the result states the case, so no warning is
     raised. on_step, if given, sees the joint phase's steps as `_descend`
     takes them. Deterministic: the solver is full-batch.
     """
@@ -630,8 +612,8 @@ def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
     else:
         b_ea = float(cfg.b_ea.value)
     theta, steps, final, stop = _descend(ws, cfg.iterations, b_ea, True, theta, on_step)
-    conf = ConfidenceMap(_logits(ws.wts))
-    confidence = interpolate_confidence(conf.weights, ws.warped)
-    return JointResult(theta, conf, confidence >= cfg.tau, confidence, iterations=steps,
+    weights = ws.wts.copy()  # not a view: it would keep all five workspace maps alive
+    confidence = interpolate_confidence(weights, ws.warped)
+    return JointResult(theta, weights, confidence >= cfg.tau, confidence, iterations=steps,
                        final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=ws.alpha, stop_reason=stop,
                        warm_iterations=warm, warm_stop_reason=warm_stop, seeded=seed is not None)

@@ -2,10 +2,12 @@
 
 Runs every numeric flag of `synth`, `denoise`, `estimate-motion` and
 `render`, and `eval --esr --m-ref`, with each of nan, +-inf, 0, -1, 1e300,
-1e-300 and 2^63; `--geometry` with each of 0x0, nanx1, 64x, 4096x4097 and
-2x2 on `denoise`, `estimate-motion`, `render` and `eval --esr` over the
-`.evj` input, which stores 64x64; and `eval --rmse` on trajectories with
-1e200 values and with repeated times.
+1e-300 and 2^63; the pair flags (`synth --motion` and `--center`, `render
+--theta`) get each value in both parts, and in one part with 1 in the other;
+`--geometry` with each of 0x0, nanx1, 64x, 4096x4097 and 2x2 on `synth`, and
+on `denoise`, `estimate-motion`, `render` and `eval --esr` over the `.evj`
+input, which stores 64x64; and `eval --rmse` on trajectories with 1e200
+values and with repeated times: 373 cases.
 Each case runs in its own subprocess, one at a time, under an address-space
 limit of 2 GiB, a 60 s timeout and PYTHONWARNINGS=error::RuntimeWarning.
 A case fails on a traceback, an exit code outside {0, 1, 2}, a timeout,
@@ -69,10 +71,11 @@ FLAGS = [
     ("eval", ESR, "--m-ref", []),
 ] + [
     (command, base, "--geometry", [])
-    for command, base in (("denoise", SOLVE), ("estimate-motion", SOLVE), ("render", STREAM),
-                          ("eval", ESR))
+    for command, base in (("synth", ["-o", "{out}", "--duration", "0.05"]), ("denoise", SOLVE),
+                          ("estimate-motion", SOLVE), ("render", STREAM), ("eval", ESR))
 ]
-PAIRS = {"--center", "--motion", "--theta"}  # comma-separated pairs: both parts get the value
+# comma-separated pairs: the value goes in both parts, then in each part with 1 in the other
+PAIRS = {"--center", "--motion", "--theta"}
 SUFFIX = {"synth": ".evj", "denoise": ".evj", "estimate-motion": ".csv", "render": ".pgm",
           "eval": ".json"}
 
@@ -136,13 +139,14 @@ def cases(tmp: Path) -> list[tuple[str, list[str], Path | None]]:
     out = []
     for command, base, flag, extra in FLAGS:
         for value in GEOMETRIES if flag == "--geometry" else VALUES:
-            name = f"{command} {flag}={value}"
-            path = tmp / f"case{len(out)}{SUFFIX[command]}"
-            given = f"{value},{value}" if flag in PAIRS else value
-            argv = [a.replace("{in}", str(tmp / "in.evj")).replace("{out}", str(path))
-                    for a in base]
-            out.append((name, [command, *argv, *extra, f"{flag}={given}"],
-                        path if command == "denoise" else None))
+            for given in ([f"{value},{value}", f"{value},1", f"1,{value}"] if flag in PAIRS
+                          else [value]):
+                path = tmp / f"case{len(out)}{SUFFIX[command]}"
+                argv = [a.replace("{in}", str(tmp / "in.evj")).replace("{out}", str(path))
+                        for a in base]
+                out.append((f"{command} {flag}={given}",
+                            [command, *argv, *extra, f"{flag}={given}"],
+                            path if command == "denoise" else None))
     for name, est, gt in TRAJECTORIES:
         (tmp / f"{name}.est.csv").write_text(est)
         (tmp / f"{name}.gt.csv").write_text(gt)

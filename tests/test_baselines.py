@@ -248,7 +248,7 @@ class TestSequential:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = sequential_pipeline(w, BafConfig(), JointConfig())
-        wts = res.conf.weights
+        wts = res.weights
         assert wts[5, 5] == 1.0
         assert wts[40, 40] == 0.0
         assert set(np.unique(wts)) == {0.0, 1.0}
@@ -264,7 +264,7 @@ class TestSequential:
         expected = hard_map(warp(window, res.theta)[res.labels], G).values > 0
         raw = hard_map(window.positions[res.labels], G).values > 0
         assert not np.array_equal(expected, raw)
-        assert np.array_equal(res.conf.weights, expected)
+        assert np.array_equal(res.weights, expected)
 
     def test_drifting_sparse_dot_loses_signal(self):
         spec = SceneSpec(G, Dot((16.0, 32.0), 4.0), MotionParams.translation(20.0, 5.0),

@@ -73,6 +73,27 @@ class TestDispatch:
             "CSV input needs a .csv or .txt name"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("offset,raw,reason", [
+        (4, (0).to_bytes(4, "little"), "geometry must be at least 1x1, got 0x8"),
+        (4, (1 << 20).to_bytes(4, "little") * 2,
+         "geometry 1048576x1048576 exceeds 16777216 pixels"),
+        (20 + 26, np.array([np.nan], "<f8").tobytes(), "non-finite coordinates"),
+        (20 + 26 + 24, b"\x00", "polarity must be -1 or 1, got 0"),
+    ], ids=["width-0", "2^20-square", "nan-x", "polarity-0"])
+    def test_corrupt_evj_exits_two(self, tmp_path, capsys, offset, raw, reason):
+        # a valid .evj with one field overwritten: the header's width (or
+        # width and height), or the second record's x or polarity byte
+        src, out = tmp_path / "in.evj", tmp_path / "out.evj"
+        write_events(Events([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [1, -1, 1]), src,
+                     geometry=SensorGeometry(8, 8))
+        data = bytearray(src.read_bytes())
+        data[offset:offset + len(raw)] = raw
+        src.write_bytes(bytes(data))
+        assert run("denoise", "-i", str(src), "-o", str(out)) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"evjoint: error: {src}: {reason}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", ["x,y,t,p\n", "x,y,t,p\n1,1,0.1,1\n"],
                              ids=["header-only", "one-event"])
     def test_conflicting_window_flags_exit_two(self, tmp_path, capsys, body):
@@ -85,7 +106,8 @@ class TestDispatch:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--window-ms=-5", "--window-ms=nan", "--window-count=0",
-                                      "--kappa=-1", "--kappa=0", "--kappa=nan", "--kappa=inf"])
+                                      "--kappa=-1", "--kappa=0", "--kappa=nan", "--kappa=inf",
+                                      "--iters=-1", "--geometry=abc"])
     @pytest.mark.parametrize("body", ["x,y,t,p\n", "x,y,t,p\n1,1,0.1,1\n"],
                              ids=["header-only", "one-event"])
     @pytest.mark.parametrize("command", [["denoise", "--method", "baf"], ["estimate-motion"]])

@@ -36,7 +36,7 @@ class TestSigmoid:
         assert np.max(np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 4.5e-16
 
     def test_saturates_exactly(self):
-        # ConfidenceMap.from_weights_mask relies on these being exact
+        # saturated logits give weights of exactly 1 and 0
         assert sigmoid(np.array([1000.0, -1000.0])).tolist() == [1.0, 0.0]
 
     def test_writes_out_in_place(self):

@@ -255,6 +255,13 @@ class TestBinary:
         with pytest.raises(ValueError, match="geometry"):
             write_events(Events.empty(), tmp_path / "x.evj")
 
+    @pytest.mark.parametrize("name", ["x.evj", "x.csv"])
+    def test_short_labels_rejected(self, tmp_path, name):
+        ev = _random_events(np.random.default_rng(4), 3)
+        with pytest.raises(ValueError, match="labels must parallel the event list"):
+            write_events(ev, tmp_path / name, labels=[True, False], geometry=SensorGeometry(64, 48))
+        assert not (tmp_path / name).exists()
+
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(3)
         ev = _random_events(rng, 50)
@@ -374,6 +381,8 @@ class TestWindowing:
         backwards = Events(np.ones(2), np.ones(2), np.array([0.2, 0.1]), np.ones(2, np.int8))
         with pytest.raises(ValueError, match="sorted"):
             EventWindow(backwards, SensorGeometry(4, 4), 0.0, 0.3, 0.15)
+        with pytest.raises(ValueError, match="events must be sorted by time before windowing"):
+            window_stream(backwards, SensorGeometry(4, 4), FixedCount(50))
 
     def test_window_index_overflow_rejected(self):
         ev = Events(np.ones(3), np.ones(3), np.array([0.064, 0.814, 0.9]), np.ones(3, np.int8))

@@ -77,7 +77,7 @@ class TestAdam:
         assert np.allclose(p1, p2, atol=1e-6)
 
     def test_state_built_from_moments_steps_like_zeros_like(self):
-        # AdamState(m, v) allocates its own scratch arrays
+        # AdamState(m, v) starts at step 0, as zeros_like does
         params, g = np.array([0.5, -1.0, 2.0]), np.array([0.3, -0.2, 0.0])
         got, state = adam_step(params.copy(), g, AdamState(np.zeros(3), np.zeros(3)), lr=0.1)
         want, _ = adam_step(params.copy(), g, AdamState.zeros_like(params), lr=0.1)
@@ -348,7 +348,8 @@ class TestSolve:
         res = solve(w, JointConfig(iterations=0))
         assert np.array_equal(res.theta.values, [0.0, 0.0])
         assert res.iterations == 0 and res.warm_iterations == 0 and res.stop_reason == "cap"
-        f_ea = objective(w, res.theta, res.conf, JointConfig(b_ea=ExplicitBaseline(0.0))).f_ea
+        conf = ConfidenceMap.zeros(w.geometry)  # f_ea does not depend on the weights
+        f_ea = objective(w, res.theta, conf, JointConfig(b_ea=ExplicitBaseline(0.0))).f_ea
         assert res.b_ea == KAPPA_DEFAULT * f_ea
 
     def test_degenerate_window(self):
@@ -368,7 +369,7 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(EventWindow(ev, G16, 0.0, 1.0, 0.5), JointConfig())
-        assert np.all(res.conf.weights == 0.0)
+        assert np.all(res.weights == 0.0)
         assert res.confidence.tolist() == [0.0, 0.0, 0.0]
         assert math.isnan(res.b_ed) and res.final is None
 
@@ -399,7 +400,7 @@ class TestSolve:
         else:
             res = solve(window, cfg, model=method)
         assert np.linalg.norm(res.theta.values) > 0
-        want = interpolate_confidence(res.conf.weights, warp(window, res.theta))
+        want = interpolate_confidence(res.weights, warp(window, res.theta))
         assert res.confidence.tobytes() == want.tobytes()
         if method not in ("baf", "cmax-seq"):  # their labels come from the density filter
             assert np.array_equal(res.labels, res.confidence >= cfg.tau)
@@ -422,7 +423,7 @@ class TestSolve:
         r1 = solve(window, cfg)
         r2 = solve(window, cfg)
         assert np.array_equal(r1.theta.values, r2.theta.values)
-        assert np.array_equal(r1.conf.logits, r2.conf.logits)
+        assert np.array_equal(r1.weights, r2.weights)
         assert np.array_equal(r1.labels, r2.labels)
 
     def test_warm_baseline_is_kappa_times_cmax_variance(self):
@@ -510,6 +511,8 @@ class TestStopRule:
     def test_settled_window_stops_before_the_cap(self, monkeypatch):
         window, cfg = self._window(), JointConfig()
         seen = self._record(monkeypatch)
+        made, workspace = [], joint._Workspace
+        monkeypatch.setattr(joint, "_Workspace", lambda *a: made.append(workspace(*a)) or made[-1])
         res, parts = _solve_steps(window, cfg)
         assert res.stop_reason == "settled" and res.warm_stop_reason == "settled"
         assert res.iterations < cfg.iterations and res.warm_iterations < cfg.iterations // 2
@@ -524,8 +527,10 @@ class TestStopRule:
         assert res.final.total == pytest.approx(want.total, rel=1e-12)
         ws = joint._Workspace(window, cfg, "translation2d")
         _evaluate(window, res.theta, fresh, cfg, res.alpha, res.b_ea, res.b_ed, False, ws)
-        assert np.abs(res.conf.weights - ws.wts).max() <= 1e-9
-        sampled = interpolate_confidence(res.conf.weights, warp(window, res.theta))
+        assert np.abs(res.weights - ws.wts).max() <= 1e-9
+        # the solve's own end weights, copied out of its workspace
+        assert res.weights.tobytes() == made[0].wts.tobytes() and res.weights.flags.owndata
+        sampled = interpolate_confidence(res.weights, warp(window, res.theta))
         assert res.confidence.tobytes() == sampled.tobytes()
 
     @pytest.mark.parametrize("iterations", [2, 10])
@@ -662,13 +667,13 @@ class TestPhases:
         parts = []
         theta, _, final, _ = _descend(ws, cfg.iterations, cfg.b_ea.kappa * end.f_ea, True, theta,
                                       lambda it, p: parts.append(p))
-        return theta, joint._logits(ws.wts), warm, warm_stop, parts + [final]
+        return theta, ws.wts.copy(), warm, warm_stop, parts + [final]
 
     @staticmethod
     def _same(solved, chain):
-        (res, res_parts), (theta, logits, warm, warm_stop, parts) = solved, chain
+        (res, res_parts), (theta, weights, warm, warm_stop, parts) = solved, chain
         return (res.theta.values.tobytes() == theta.values.tobytes()
-                and res.conf.logits.tobytes() == logits.tobytes()
+                and res.weights.tobytes() == weights.tobytes()
                 and (res.warm_iterations, res.warm_stop_reason) == (warm, warm_stop)
                 and _parts_bytes(res_parts) == _parts_bytes(parts))
 
@@ -865,7 +870,7 @@ class TestExactWeights:
                         w, _ = _solve_weights(np.zeros((4, 5)), r_ea, 0.0, a, b)
                         assert not w.any()
         assert np.isfinite(res.final.total)
-        assert 0.0 <= res.conf.weights.min() and res.conf.weights.max() <= 1.0
+        assert 0.0 <= res.weights.min() and res.weights.max() <= 1.0
 
 
 class TestInterpolation:
