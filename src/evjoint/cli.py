@@ -69,9 +69,12 @@ def _geometry(flag: str | None, stored=None, missing: str = "") -> SensorGeometr
             raise CliError(missing)
         return stored
     try:
-        w, h = flag.lower().split("x")
-        given = SensorGeometry(int(w), int(h))
-    except (ValueError, TypeError) as exc:
+        w, h = map(int, flag.lower().split("x"))
+    except ValueError:  # not two integer parts
+        raise CliError(f"bad --geometry {flag!r}, expected WxH (e.g. 64x64)") from None
+    try:
+        given = SensorGeometry(w, h)
+    except ValueError as exc:
         raise CliError(f"bad --geometry {flag!r}, expected WxH (e.g. 64x64): {exc}") from None
     if stored is not None and stored != given:
         raise CliError(f"--geometry {given.width}x{given.height} differs from the stream's "

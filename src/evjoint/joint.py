@@ -292,46 +292,48 @@ class _Exact:
     minimizing the objective at theta. It keeps lam, the multiplier on the
     regret max, mu, the mean of w * m, and the slope of r_ed(w_lam) - r_ea in
     lam, of its last solve as the next one's guesses, since theta moves
-    little from one evaluation to the next."""
+    little from one evaluation to the next. It holds no map: each solve works
+    on the pixels its screen leaves free."""
 
     def __init__(self) -> None:
         self.lam, self.mu, self.slope = 0.5, 0.0, 0.0
 
-    def solve(self, m, r_ea, b_ed, alpha, beta, out, inv, inv2, base) -> np.ndarray:
+    def solve(self, m, r_ea, b_ed, alpha, beta, out) -> np.ndarray:
         """The weights w in [0, 1] minimizing max(r_ea, var(w m) - b_ed) +
-        alpha sum(w) + beta sum(((w - 1) m)^2) on the map m >= 0, written to out;
-        inv, inv2 and base are m-shaped scratch maps.
+        alpha sum(w) + beta sum(((w - 1) m)^2) on the map m >= 0, written to out.
 
         The objective is convex in w. With lam in [0, 1] the multiplier on
         the max and n = m.size, its minimizer is w = clip((2 beta m^2 +
         2 lam mu m / n - alpha) / (2 m^2 (beta + lam / n)), 0, 1) = clip(base +
-        k mu / m, 0, 1), where mu = mean(w m) is the fixed point of a
-        nondecreasing map whose slope is at most k = (lam / n) / (beta + lam / n)
-        < 1. lam is 0 if r_ed(w_0) <= r_ea, 1 if r_ed(w_1) >= r_ea, else the root
-        of the nonincreasing r_ed(w_lam) - r_ea. Both scalars are found by
-        `_falling_root` from the last solve's values, lam's first step a
-        Newton step on the last solve's slope. w is 0 where m = 0, and
-        everywhere at lam = beta = 0, where the objective no longer depends on
-        it: nothing is divided by zero."""
+        k mu / m, 0, 1), where mu = mean(w m) <= mass = mean(m) is the fixed
+        point of a nondecreasing map of slope at most k = (lam / n) / (beta + lam
+        / n) < 1. lam is 0 if r_ed(w_0) <= r_ea, 1 if r_ed(w_1) >= r_ea, else the
+        root of the nonincreasing r_ed(w_lam) - r_ea. `_falling_root` finds both
+        from the last solve's values, lam's first step a Newton step on the last
+        slope, on the free pixels alone: a safe screen first drops every pixel
+        with m (2 beta m + 2 mass / n) <= alpha, m = 0 included, as w = 0 there
+        at every lam and mu. w is 0 everywhere at lam = beta = 0."""
         n = m.size
-        mf, bf = m.reshape(-1), base.reshape(-1)
-        pos = m > 0
-        inv.fill(0.0)
-        np.divide(1.0, m, out=inv, where=pos)
-        inv2.fill(math.inf)
-        np.multiply(inv, inv, out=inv2, where=pos)
-        mass = float(mf.sum()) / n  # mu's upper bound: w <= 1
+        mass = float(m.sum()) / n  # mu's upper bound: w <= 1
+        with np.errstate(over="ignore"):  # huge beta: inf, free; subnormal m: inf, no weight
+            np.multiply(np.add(np.multiply(m, beta, out=out), mass / n, out=out), m, out=out)
+            free = np.flatnonzero(out > 0.5 * alpha * (1.0 - 1e-9))  # margin: rounding drops none
+            mf = m.take(free)
+            inv = 1.0 / mf
+            inv2 = inv * inv
+        base, w = np.empty((2, free.size))
 
-        def mean_wm(mu, k):  # mean(w m) at mu, w in out
-            np.clip(np.add(np.multiply(inv, k * mu, out=out), base, out=out), 0.0, 1.0, out=out)
-            return float(np.dot(mf, out.reshape(-1))) / n
+        def mean_wm(mu, k):  # mean(w m) at mu
+            np.add(np.multiply(inv, k * mu, out=w), base, out=w)
+            np.minimum(np.maximum(w, 0.0, out=w), 1.0, out=w)
+            return float(np.dot(mf, w)) / n
 
         seen = []  # (lam, excess) of each lam tried
 
-        def excess(lam):  # r_ed(w_lam) - r_ea, w_lam in out
+        def excess(lam):  # r_ed(w_lam) - r_ea
             d = beta + lam / n
             if d == 0:
-                out.fill(0.0)
+                w.fill(0.0)
                 seen.append((lam, -b_ed - r_ea))
                 return seen[-1][1]
             c = alpha / (2.0 * d)
@@ -344,9 +346,9 @@ class _Exact:
             k = lam / (n * d)
             self.mu = _falling_root(lambda mu: mean_wm(mu, k) - mu, 0.0, mass,
                                     min(max(self.mu, 0.0), mass), lambda fx: fx, ROOT_TOL * mass)
-            np.multiply(m, out, out=base)
-            mean = float(bf.sum()) / n
-            seen.append((lam, float(np.dot(bf, bf)) / n - mean * mean - b_ed - r_ea))
+            wm = np.multiply(mf, w, out=base)
+            mean = float(wm.sum()) / n
+            seen.append((lam, float(np.dot(wm, wm)) / n - mean * mean - b_ed - r_ea))
             return seen[-1][1]
 
         def newton(fx):
@@ -355,8 +357,8 @@ class _Exact:
         self.lam = _falling_root(excess, 0.0, 1.0, self.lam, newton, ROOT_TOL)
         if len(seen) > 1 and seen[-2][0] != seen[-1][0]:
             self.slope = (seen[-1][1] - seen[-2][1]) / (seen[-1][0] - seen[-2][0])
-        if not alpha:  # m = 0 pixels kept base = beta / d
-            out *= pos
+        out.fill(0.0)
+        out.reshape(-1)[free] = w
         return out
 
 
@@ -391,7 +393,7 @@ def _evaluate(window, theta: MotionParams, logits, cfg, alpha, b_ea, b_ed, want_
         parts = ObjectiveParts(f_ea, nan, r_ea, nan, r_ea, nan, nan, r_ea)
     else:
         if exact:
-            wts = logits.solve(m, r_ea, b_ed, alpha, cfg.beta, ws.wts, ws.adev, ws.resid, tmp)
+            wts = logits.solve(m, r_ea, b_ed, alpha, cfg.beta, ws.wts)
         else:
             wts = sigmoid(logits, out=ws.wts)
         adev = np.multiply(wts, m, out=ws.adev)

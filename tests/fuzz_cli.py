@@ -4,10 +4,11 @@ Runs every numeric flag of `synth`, `denoise`, `estimate-motion` and
 `render`, and `eval --esr --m-ref`, with each of nan, +-inf, 0, -1, 1e300,
 1e-300 and 2^63; the pair flags (`synth --motion` and `--center`, `render
 --theta`) get each value in both parts, and in one part with 1 in the other;
+`denoise --alpha` with `--beta=0`, and `--beta` with `--alpha=0`;
 `--geometry` with each of 0x0, nanx1, 64x, 4096x4097 and 2x2 on `synth`, and
 on `denoise`, `estimate-motion`, `render` and `eval --esr` over the `.evj`
 input, which stores 64x64; and `eval --rmse` on trajectories with 1e200
-values and with repeated times: 373 cases.
+values and with repeated times: 389 cases.
 Each case runs in its own subprocess, one at a time, under an address-space
 limit of 2 GiB, a 60 s timeout and PYTHONWARNINGS=error::RuntimeWarning.
 A case fails on a traceback, an exit code outside {0, 1, 2}, a timeout,
@@ -61,6 +62,10 @@ FLAGS = [
     ("denoise", SOLVE, flag, [])
     for flag in ("--alpha", "--beta", "--kappa", "--b-ea", "--iters", "--sigma", "--tau",
                  "--window-ms", "--window-count", "--seed", "--threads")
+] + [
+    # the corners of the exact weight solve: every m > 0 pixel free (beta = 0),
+    # and beta + lam / n = 0 at lam = 0 (alpha = 0, beta fuzzed)
+    ("denoise", SOLVE, "--alpha", ["--beta=0"]), ("denoise", SOLVE, "--beta", ["--alpha=0"]),
 ] + [
     ("estimate-motion", SOLVE, flag, [])
     for flag in ("--alpha", "--beta", "--kappa", "--b-ea", "--iters", "--sigma", "--tau",
@@ -144,7 +149,7 @@ def cases(tmp: Path) -> list[tuple[str, list[str], Path | None]]:
                 path = tmp / f"case{len(out)}{SUFFIX[command]}"
                 argv = [a.replace("{in}", str(tmp / "in.evj")).replace("{out}", str(path))
                         for a in base]
-                out.append((f"{command} {flag}={given}",
+                out.append((" ".join([command, *extra, f"{flag}={given}"]),
                             [command, *argv, *extra, f"{flag}={given}"],
                             path if command == "denoise" else None))
     for name, est, gt in TRAJECTORIES:

@@ -728,6 +728,20 @@ class TestGeometryFlag:
         assert run("eval", "--pred", str(synth_file), "--esr") == 0
         assert json.loads(capsys.readouterr().out) == with_flag
 
+    @pytest.mark.parametrize("flag,reason", [
+        ("abc", ""), ("64x64x3", ""), ("axb", ""),
+        ("0x5", ": geometry must be at least 1x1, got 0x5"),
+    ])
+    def test_malformed_flag_names_the_input(self, tmp_path, capsys, flag, reason):
+        # a part count other than two or a non-integer part gets no interpreter text
+        p = tmp_path / "in.csv"
+        p.write_text("x,y,t,p\n1,1,0.1,1\n")
+        out = tmp_path / "o.evj"
+        assert run("denoise", "-i", str(p), "-o", str(out), "--geometry", flag) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"evjoint: error: bad --geometry '{flag}', expected WxH (e.g. 64x64){reason}"]
+        assert not out.exists()
+
 
 class TestEvalReport:
     def test_esr_clamp_warns(self, synth_file, capsys):

@@ -759,7 +759,7 @@ def _bisection_weights(m, r_ea, b_ed, alpha, beta):
 
 def _solve_weights(m, r_ea, b_ed, alpha, beta, exact=None):
     exact = joint._Exact() if exact is None else exact
-    out = exact.solve(m, r_ea, b_ed, alpha, beta, *np.empty((4,) + m.shape))
+    out = exact.solve(m, r_ea, b_ed, alpha, beta, np.empty(m.shape))
     return out, exact.lam
 
 
@@ -773,6 +773,27 @@ def _random_problem(seed):
     b_ed = float(np.var(m))
     r_ea = float(np.var(m)) * rng.uniform(-1.6, 0.4)
     return m, r_ea, b_ed, alpha, beta
+
+
+def _assert_kkt(w, lam, m, r_ea, b_ed, alpha, beta):
+    """w and lam satisfy the optimality conditions of the weight problem."""
+    assert 0.0 <= lam <= 1.0 and 0.0 <= w.min() and w.max() <= 1.0
+    assert np.all(w[m == 0] == 0.0)
+    n, wm = m.size, w * m
+    r_ed = float(np.var(wm)) - b_ed
+    tol = 1e-9 * (abs(r_ea) + b_ed)
+    # lam is complementary to r_ed - r_ea
+    if lam > 0:
+        assert r_ed >= r_ea - tol
+    if lam < 1:
+        assert r_ed <= r_ea + tol
+    # the Lagrangian's w gradient: >= 0 at w = 0, <= 0 at w = 1, 0 between
+    grad = lam * 2.0 / n * (wm - wm.mean()) * m + alpha + 2.0 * beta * (w - 1.0) * m * m
+    on = m > 0
+    gtol = 1e-9 * (np.abs(grad).max() + alpha + 1e-12)
+    assert np.all(grad[on & (w == 0)] >= -gtol)
+    assert np.all(grad[on & (w == 1)] <= gtol)
+    assert np.all(np.abs(grad[on & (w > 0) & (w < 1)]) <= gtol)
 
 
 class TestExactWeights:
@@ -796,25 +817,8 @@ class TestExactWeights:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_kkt_conditions(self, seed):
-        m, r_ea, b_ed, alpha, beta = problem = _random_problem(seed)
-        w, lam = _solve_weights(*problem)
-        assert 0.0 <= lam <= 1.0 and 0.0 <= w.min() and w.max() <= 1.0
-        assert np.all(w[m == 0] == 0.0)
-        n, wm = m.size, w * m
-        r_ed = float(np.var(wm)) - b_ed
-        tol = 1e-9 * (abs(r_ea) + b_ed)
-        # lam is complementary to r_ed - r_ea
-        if lam > 0:
-            assert r_ed >= r_ea - tol
-        if lam < 1:
-            assert r_ed <= r_ea + tol
-        # the Lagrangian's w gradient: >= 0 at w = 0, <= 0 at w = 1, 0 between
-        grad = lam * 2.0 / n * (wm - wm.mean()) * m + alpha + 2.0 * beta * (w - 1.0) * m * m
-        on = m > 0
-        gtol = 1e-9 * (np.abs(grad).max() + alpha + 1e-12)
-        assert np.all(grad[on & (w == 0)] >= -gtol)
-        assert np.all(grad[on & (w == 1)] <= gtol)
-        assert np.all(np.abs(grad[on & (w > 0) & (w < 1)]) <= gtol)
+        problem = _random_problem(seed)
+        _assert_kkt(*_solve_weights(*problem), *problem)
 
     def test_guesses_do_not_move_the_solution(self):
         problem = _random_problem(6)
@@ -824,6 +828,78 @@ class TestExactWeights:
             exact.lam, exact.mu = lam, mu
             w, got_lam = _solve_weights(*problem, exact=exact)
             assert np.abs(w - want).max() <= 1e-10 and got_lam == pytest.approx(want_lam, abs=1e-10)
+
+    @staticmethod
+    def _sparse_map():
+        """A 64 x 64 map of faint blur tails with three bright blobs: under 1%
+        of its pixels can take a weight at alpha = 0.05, beta = 1e-2."""
+        yy, xx = np.mgrid[0:64, 0:64]
+        m = 0.05 * np.exp(-((xx - 30.0) ** 2 + (yy - 20.0) ** 2) / 800.0)
+        for cx, cy, peak in ((10, 12, 6.0), (40, 45, 9.0), (55, 8, 4.0)):
+            m += peak * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 2.0)
+        return m
+
+    @staticmethod
+    def _between(m, b_ed, alpha, beta, frac):
+        """The r_ea frac of the way from r_ed(w_0) to r_ed(w_1), the oracle's
+        weights at lam = 0 and 1: lam is 0 below frac 0, 1 above frac 1, and
+        inside between."""
+        w0, _ = _bisection_weights(m, math.inf, b_ed, alpha, beta)
+        w1, _ = _bisection_weights(m, -math.inf, b_ed, alpha, beta)
+        r0, r1 = float(np.var(w0 * m)), float(np.var(w1 * m))
+        return r0 + frac * (r1 - r0) - b_ed
+
+    @pytest.mark.parametrize("frac", [-0.5, 0.5, 1.5], ids=["lam-0", "inside", "lam-1"])
+    def test_sparse_map(self, frac):
+        # the root searches run on the free pixels alone; the rest read 0
+        m, alpha, beta = self._sparse_map(), 0.05, 1e-2
+        assert (m * (2 * beta * m + 2 * m.mean() / m.size) > alpha).mean() < 0.05
+        b_ed = float(np.var(m))
+        problem = (m, self._between(m, b_ed, alpha, beta, frac), b_ed, alpha, beta)
+        w, lam = _solve_weights(*problem)
+        want, want_lam = _bisection_weights(*problem)
+        assert np.abs(w - want).max() <= 1e-8 and lam == pytest.approx(want_lam, abs=1e-8)
+        assert (0.0 < lam < 1.0) == (frac == 0.5)
+        _assert_kkt(w, lam, *problem)
+
+    @pytest.mark.parametrize("frac", [0.5, 1.5], ids=["inside", "lam-1"])
+    def test_pixel_on_the_screen_threshold(self, frac):
+        # alpha set so that one pixel has m (2 beta m + 2 mass / n) = alpha
+        # exactly: its weight is 0 at every lam and mu, and the screen's
+        # margin keeps it free, where it clips to 0
+        m, beta = self._sparse_map(), 1e-2
+        m[30, 30] = 1.0
+        n, mass = m.size, float(m.sum()) / m.size
+        alpha = 2 * beta + 2 * mass / n  # at m = 1
+        assert (m * (2 * beta * m + 2 * mass / n) == alpha).sum() == 1
+        b_ed = float(np.var(m))
+        problem = (m, self._between(m, b_ed, alpha, beta, frac), b_ed, alpha, beta)
+        w, lam = _solve_weights(*problem)
+        want, want_lam = _bisection_weights(*problem)
+        assert w[30, 30] == 0.0
+        assert np.abs(w - want).max() <= 1e-8 and lam == pytest.approx(want_lam, abs=1e-8)
+
+    def test_solve_allocates_no_map(self):
+        # A cold solve on a 256 x 256 map with 1% of its pixels free: the
+        # traced peak, the screen's boolean pass and the free pixels' arrays,
+        # stays below a quarter of one 512 KB map, so no trial of either root
+        # search forms a map-sized temporary.
+        rng = np.random.default_rng(0)
+        m = rng.uniform(0.0, 0.05, (256, 256))
+        bright = rng.choice(m.size, m.size // 100, replace=False)
+        m.flat[bright] = rng.uniform(3.0, 9.0, bright.size)
+        alpha, beta, b_ed = 0.05, 1e-2, float(np.var(m))
+        ends = [float(np.var(_solve_weights(m, r, b_ed, alpha, beta)[0] * m)) for r in (1e9, -1e9)]
+        r_ea = 0.5 * sum(ends) - b_ed  # lam inside
+        out, exact = np.empty(m.shape), joint._Exact()
+        tracemalloc.start()
+        try:
+            exact.solve(m, r_ea, b_ed, alpha, beta, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < exact.lam < 1.0
+        assert peak < m.nbytes // 4, f"{peak >> 10} KB traced peak"
 
     @staticmethod
     def _window():
