@@ -246,33 +246,37 @@ class _Workspace:
         self.b_ed = float(np.var(self.splat.values))
         self.dt = window.times - window.t_ref
         self.center = _rotation_center(window)
-        self.dev, self.wts, self.adev, self.resid, self.tmp = np.empty((5,) + window.geometry.shape)
+        self.dev, self.wts, self.adev, self.resid, self.tmp = (
+            np.empty(window.geometry.shape) for _ in range(5))
         self.warped, self.dpos = np.empty((len(window), 2)), np.empty((2, len(window)))
 
 
-def _falling_root(f, lo: float, hi: float, x: float, step, tol: float) -> float:
+def _falling_root(f, lo: float, hi: float, x: float, slope: float, tol: float):
     """Where the nonincreasing f crosses zero on [lo, hi]: lo if f(lo) <= 0, hi
-    if f(hi) >= 0. From the guess x the first step is step(f(x)), the next
-    ones secant steps through the last two points, or toward the end their
-    sign points to where f took one value at both. A step past an end of the
-    bracket the signs have shown goes to its midpoint; a step past an end not
-    yet evaluated goes to that end, which is then evaluated. Returns the last
-    point evaluated, once f is 0 there, the bracket or an inner step is
-    within tol, or after ROOT_STEPS points."""
+    if f(hi) >= 0. From the guess x the first step is a Newton step on a
+    negative slope, else 0.05 toward f(x)'s sign; the next ones are secant
+    steps through the last two points, or toward the end their sign points to
+    where f took one value at both. A step past an end of the bracket the signs
+    have shown goes to its midpoint; a step past an end not yet evaluated goes
+    to that end, which is then evaluated. Returns the last point evaluated,
+    once f is 0 there, the bracket or an inner step is within tol, or after
+    ROOT_STEPS points, and the secant slope through the last two points
+    evaluated (slope if they are not two)."""
     seen_lo = seen_hi = False
-    prev = None
+    prev = last = None  # the last two points evaluated, (x, f(x))
     for _ in range(ROOT_STEPS):
         fx = f(x)
+        prev, last = last, (x, fx)
         if fx > 0:
             lo, seen_lo = x, True
         elif fx < 0:
             hi, seen_hi = x, True
         else:  # a root, or NaN
-            return x
+            break
         if hi - lo <= tol:
-            return x
+            break
         if prev is None:
-            nxt = x + step(fx)
+            nxt = x + (-fx / slope if slope < 0 else math.copysign(0.05, fx))
         elif prev[1] == fx:
             nxt = math.copysign(math.inf, fx)
         else:
@@ -282,9 +286,20 @@ def _falling_root(f, lo: float, hi: float, x: float, step, tol: float) -> float:
         elif nxt <= lo:
             nxt = 0.5 * (lo + hi) if seen_lo else lo
         elif abs(nxt - x) <= tol:
-            return x
-        prev, x = (x, fx), nxt
-    return x
+            break
+        x = nxt
+    if prev is not None and prev[0] != last[0]:
+        slope = (last[1] - prev[1]) / (last[0] - prev[0])
+    return x, slope
+
+
+def _screen_threshold(b: float, alpha: float, beta: float) -> float:
+    """`_Exact.solve`'s safe screen: as lam <= 1 and mu <= mean(m), w = 0
+    unless m (2 beta m + 2 b) > alpha, b = mean(m) / n. The product's root,
+    less a 1e-9 relative margin and two subnormal steps that rounding does
+    not cross for b, alpha, beta in [1e-300, 1e300] or 0; at least 0."""
+    den = b + math.hypot(b, math.sqrt(2.0 * alpha) * math.sqrt(beta))
+    return max(alpha / den * (1.0 - 1e-9) - 1e-323, 0.0) if den > 0 else 0.0
 
 
 class _Exact:
@@ -309,16 +324,14 @@ class _Exact:
         point of a nondecreasing map of slope at most k = (lam / n) / (beta + lam
         / n) < 1. lam is 0 if r_ed(w_0) <= r_ea, 1 if r_ed(w_1) >= r_ea, else the
         root of the nonincreasing r_ed(w_lam) - r_ea. `_falling_root` finds both
-        from the last solve's values, lam's first step a Newton step on the last
-        slope, on the free pixels alone: a safe screen first drops every pixel
-        with m (2 beta m + 2 mass / n) <= alpha, m = 0 included, as w = 0 there
-        at every lam and mu. w is 0 everywhere at lam = beta = 0."""
+        from the last solve's values (and lam's slope) on the pixels above
+        `_screen_threshold` alone; w is 0 on the rest, and everywhere at
+        lam = beta = 0."""
         n = m.size
         mass = float(m.sum()) / n  # mu's upper bound: w <= 1
-        with np.errstate(over="ignore"):  # huge beta: inf, free; subnormal m: inf, no weight
-            np.multiply(np.add(np.multiply(m, beta, out=out), mass / n, out=out), m, out=out)
-            free = np.flatnonzero(out > 0.5 * alpha * (1.0 - 1e-9))  # margin: rounding drops none
-            mf = m.take(free)
+        free = np.flatnonzero(m > _screen_threshold(mass / n, alpha, beta))
+        mf = m.take(free)
+        with np.errstate(over="ignore"):  # inf: no weight; NaN at alpha = 0 if m is subnormal
             inv = 1.0 / mf
             inv2 = inv * inv
         base, w = np.empty((2, free.size))
@@ -328,14 +341,11 @@ class _Exact:
             np.minimum(np.maximum(w, 0.0, out=w), 1.0, out=w)
             return float(np.dot(mf, w)) / n
 
-        seen = []  # (lam, excess) of each lam tried
-
         def excess(lam):  # r_ed(w_lam) - r_ea
             d = beta + lam / n
             if d == 0:
                 w.fill(0.0)
-                seen.append((lam, -b_ed - r_ea))
-                return seen[-1][1]
+                return -b_ed - r_ea
             c = alpha / (2.0 * d)
             if c > 0:
                 with np.errstate(over="ignore"):  # -inf: no weight
@@ -345,18 +355,12 @@ class _Exact:
                 base.fill(beta / d)
             k = lam / (n * d)
             self.mu = _falling_root(lambda mu: mean_wm(mu, k) - mu, 0.0, mass,
-                                    min(max(self.mu, 0.0), mass), lambda fx: fx, ROOT_TOL * mass)
+                                    min(max(self.mu, 0.0), mass), -1.0, ROOT_TOL * mass)[0]
             wm = np.multiply(mf, w, out=base)
             mean = float(wm.sum()) / n
-            seen.append((lam, float(np.dot(wm, wm)) / n - mean * mean - b_ed - r_ea))
-            return seen[-1][1]
+            return float(np.dot(wm, wm)) / n - mean * mean - b_ed - r_ea
 
-        def newton(fx):
-            return -fx / self.slope if self.slope < 0 else math.copysign(0.05, fx)
-
-        self.lam = _falling_root(excess, 0.0, 1.0, self.lam, newton, ROOT_TOL)
-        if len(seen) > 1 and seen[-2][0] != seen[-1][0]:
-            self.slope = (seen[-1][1] - seen[-2][1]) / (seen[-1][0] - seen[-2][0])
+        self.lam, self.slope = _falling_root(excess, 0.0, 1.0, self.lam, self.slope, ROOT_TOL)
         out.fill(0.0)
         out.reshape(-1)[free] = w
         return out
@@ -465,49 +469,42 @@ def objective_gradients(window: EventWindow, theta: MotionParams, conf: Confiden
     return dtheta, dlogits
 
 
-def _guarded_start(ws: _Workspace, start: MotionParams | None) -> MotionParams | None:
-    """start if its alignment variance f_ea on ws's window is strictly above
-    ws.b_ed, f_ea at zero motion, else None (descend from zero motion).
-    One evaluation in ws, without gradients; none when start is None."""
-    if start is None:
-        return None
-    if start.model != ws.model:
-        raise ValueError(f"start is a {start.model} motion, the solve's model is {ws.model}")
-    f_start = _evaluate(ws.window, start, None, ws.cfg, ws.alpha, 0.0, ws.b_ed, False, ws)[0].f_ea
-    return start if f_start > ws.b_ed else None
-
-
 def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
              theta: MotionParams | None = None, on_step=None):
     """BFGS descent of ws's objective (its window, config, model, alpha and
-    b_ed) over phi = theta * ws.span, pixels across the window, from theta
-    (zero motion if None), at most `iterations` steps.
+    b_ed) over phi = theta * ws.span, pixels across the window, at most
+    `iterations` steps. A non-zero theta is the first point evaluated, kept
+    only if its f_ea is strictly above ws.b_ed, f_ea at zero motion; else the
+    descent starts at zero motion, with fresh exact-weight guesses.
 
     Without `joint` only the alignment regret b_ea - f_ea is descended (f_ea
-    ascends); with it, every evaluation solves the confidence weights
-    exactly (`_Exact`), so the descent minimizes Phi(theta) = min_w F(theta,
-    w) over theta alone. The merit compared is the total shifted by -b_ea
-    before any cancellation, max(-f_ea, r_ed - b_ea) + alpha l1 + beta
-    fidelity: -f_ea alone without `joint`. A step is one backtracking line
-    search along -H g, H the inverse-Hessian estimate (the first step moves
-    phi STEP0_PX px along -g); it ends at the first point with Armijo's
-    decrease, each evaluated with gradients. The descent has settled once a
-    proposed step or the line search's last trial moves phi at most STOP_PX
-    px on every axis. Whatever stops it, ws holds the end point's warped
-    positions and weights (ws.wts). on_step(it, parts), if given, is called
-    with each point a step leaves, once the step is taken; nothing is kept
-    per step. Returns (theta, the number of steps, the end point's parts,
-    "settled" or "cap"); NonFiniteObjective if an evaluation's total is not
-    finite or its gradient is above MAX_GRAD.
+    ascends); with it, every evaluation solves the confidence weights exactly
+    (`_Exact`), so the descent minimizes Phi(theta) = min_w F(theta, w) over
+    theta alone. The merit compared is the total shifted by -b_ea before any
+    cancellation, max(-f_ea, r_ed - b_ea) + alpha l1 + beta fidelity: -f_ea
+    alone without `joint`. A step is one backtracking line search along -H g, H
+    the inverse-Hessian estimate (the first step moves phi STEP0_PX px along
+    -g); it ends at the first point with Armijo's decrease, each evaluated with
+    gradients. The descent has settled once a proposed step or the line
+    search's last trial moves phi at most STOP_PX px on every axis. Whatever
+    stops it, ws holds the end point's warped positions and weights (ws.wts).
+    on_step(it, parts), if given, is called with each point a step leaves, once
+    the step is taken; nothing is kept per step. Returns (theta, the number of
+    steps, the end point's parts, "settled" or "cap", whether the seed was
+    taken); ValueError if theta is not of ws's model; NonFiniteObjective if a
+    kept point's total is not finite or its gradient is above MAX_GRAD.
     """
-    weights = _Exact() if joint else None
+    if theta is not None and theta.model != ws.model:
+        raise ValueError(f"start is a {theta.model} motion, the solve's model is {ws.model}")
     beta = ws.cfg.beta
     it = 0
 
-    def evaluate(phi, want_grads):
+    def evaluate(phi, want_grads, seed=False):  # None: a seed no better than zero motion
         theta = MotionParams(ws.model, phi / ws.span)
         parts, dtheta, _ = _evaluate(ws.window, theta, weights, ws.cfg, ws.alpha, b_ea, ws.b_ed,
                                      want_grads, ws)
+        if seed and not parts.f_ea > ws.b_ed:
+            return None
         if not np.isfinite(parts.total):
             raise NonFiniteObjective(f"non-finite objective at iteration {it}")
         if dtheta is not None and not np.abs(dtheta).max() / ws.span <= MAX_GRAD:  # NaN too
@@ -517,17 +514,23 @@ def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
             max(-parts.f_ea, parts.r_ed - b_ea) + ws.alpha * parts.l1 + beta * parts.fidelity)
         return theta, parts, merit, None if dtheta is None else dtheta / ws.span
 
+    weights = _Exact() if joint else None
     phi = np.zeros(model_dim(ws.model)) if theta is None else theta.values * ws.span
-    theta, parts, merit, grad = evaluate(phi, iterations > 0)
+    point = evaluate(phi, iterations > 0, seed=True) if phi.any() else None
+    seeded = point is not None
+    if not seeded:  # zero motion, with no weight guess from a refused seed
+        weights, phi = _Exact() if joint else None, np.zeros_like(phi)
+        point = evaluate(phi, iterations > 0)
+    theta, parts, merit, grad = point
     hess = None
     for it in range(iterations):
         if not grad.any():
-            return theta, it, parts, "settled"
+            return theta, it, parts, "settled", seeded
         step = None if hess is None else -(hess @ grad)
         if step is None or not grad @ step < 0:  # the first step, or H lost its curvature
             step = -(STEP0_PX / np.abs(grad).max()) * grad
         if np.abs(step).max() <= STOP_PX:
-            return theta, it, parts, "settled"
+            return theta, it, parts, "settled", seeded
         slope, t = float(grad @ step), 1.0
         while True:
             new = evaluate(phi + t * step, True)
@@ -537,7 +540,7 @@ def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
             t *= min(max(-0.5 * slope * t / (new[2] - merit - slope * t), 0.1), 0.5)
             if t * np.abs(step).max() <= STOP_PX:  # no decrease this close: phi is the minimum
                 theta, parts, _, _ = evaluate(phi, False)
-                return theta, it, parts, "settled"
+                return theta, it, parts, "settled", seeded
         if on_step is not None:
             on_step(it, parts)
         s, y = t * step, new[3] - grad
@@ -549,7 +552,7 @@ def _descend(ws: _Workspace, iterations: int, b_ea: float, joint: bool = False,
                 hess = (sy / float(y @ y)) * np.eye(len(s))
             v = np.eye(len(s)) - np.outer(s, y) / sy
             hess = v @ hess @ v.T + np.outer(s, s) / sy
-    return theta, iterations, parts, "cap"
+    return theta, iterations, parts, "cap", seeded
 
 
 def _all_noise(window: EventWindow, theta: MotionParams, **record) -> JointResult:
@@ -563,59 +566,55 @@ def cmax(window: EventWindow, model: str, cfg: JointConfig,
          start: MotionParams | None = None) -> JointResult:
     """Contrast maximization: the BFGS ascent of the alignment variance alone,
     `solve`'s warm start run to at most cfg.iterations steps, from zero
-    motion or from start under `solve`'s guard. It labels no event signal;
+    motion or from start under `_descend`'s guard. It labels no event signal;
     the result records the steps as warm_iterations, stop_reason and
     seeded. A window of fewer than DEGENERATE_MIN_EVENTS events gets zero
     motion and stop_reason None."""
     if len(window) < DEGENERATE_MIN_EVENTS:
         return _all_noise(window, MotionParams.zero(model))
-    ws = _Workspace(window, cfg, model)
-    seed = _guarded_start(ws, start)
-    theta, steps, _, stop = _descend(ws, cfg.iterations, 0.0, theta=seed)
-    return _all_noise(window, theta, warm_iterations=steps, seeded=seed is not None,
-                      stop_reason=stop)
+    theta, steps, _, stop, seeded = _descend(_Workspace(window, cfg, model), cfg.iterations, 0.0,
+                                             theta=start)
+    return _all_noise(window, theta, warm_iterations=steps, seeded=seeded, stop_reason=stop)
 
 
 def solve(window: EventWindow, cfg: JointConfig, model: str = TRANSLATION_2D,
           start: MotionParams | None = None, on_step=None) -> JointResult:
     """Jointly optimize motion and the per-pixel confidence map.
 
-    Runs `_descend` from theta = 0, both phases in one workspace; each stops
-    once it settles, the joint phase after at most cfg.iterations steps.
-    With a warm-started alignment baseline, an alignment-only phase of at
-    most half the iteration budget runs first and b_ea is kappa times f_ea at
-    its end point; the joint phase then starts from the warm-started motion.
-    The joint phase solves the weights exactly at every evaluation, so it
-    steps theta alone. A `start` (say, the previous window's motion) is
-    guarded: the alignment variance f_ea is evaluated at start, without
-    gradients, and the first phase begins at start only if its f_ea is
-    strictly larger than b_ed, the unwarped map's variance and so f_ea at
-    zero motion (`seeded` records which). A seed that no longer fits, as
-    after the motion reverses, thus costs one evaluation and changes
-    nothing; without start the solve is the unseeded one, bit for bit. The
-    result's weights are the joint phase's end weights; each event's
-    confidence is their bilinear sample at its warped position, which the
-    end evaluation leaves in the workspace, and it is signal when that
-    reaches tau. A window of fewer than DEGENERATE_MIN_EVENTS events gets zero
-    motion, all-zero weights, confidence 0, NaN b_ed and stop_reason None,
-    and allocates no workspace; the result states the case, so no warning is
-    raised. on_step, if given, sees the joint phase's steps as `_descend`
-    takes them. Deterministic: the solver is full-batch.
+    Runs `_descend` from start (zero motion if None), both phases in one
+    workspace; each stops once it settles, the joint phase after at most
+    cfg.iterations steps. With a warm-started alignment baseline, an alignment-
+    only phase of at most half the iteration budget runs first and b_ea is
+    kappa times f_ea at its end point; the joint phase then starts from the
+    warm-started motion and solves the weights exactly at every evaluation, so
+    it steps theta alone. Each phase's start passes `_descend`'s guard: a
+    `start` (say, the previous window's motion) is taken, at no evaluation of
+    its own, only if it aligns the window strictly better than zero motion
+    (`seeded` records whether the first phase took it); one that no longer
+    fits, as after the motion reverses, costs one and changes nothing. Without
+    start the solve is the unseeded one, bit for bit. The result's weights are
+    the joint phase's end weights, the workspace's map; each event's confidence
+    is their bilinear sample at its warped position, which the end evaluation
+    leaves in the workspace, and it is signal when that reaches tau. A window
+    of fewer than DEGENERATE_MIN_EVENTS events gets zero motion, all-zero
+    weights, confidence 0, NaN b_ed and stop_reason None, and allocates no
+    workspace; the result states the case, so no warning is raised. on_step, if
+    given, sees the joint phase's steps as `_descend` takes them.
+    Deterministic: the solver is full-batch.
     """
     if len(window) < DEGENERATE_MIN_EVENTS:
         return _all_noise(window, MotionParams.zero(model), alpha=_resolve_alpha(cfg))
 
     ws = _Workspace(window, cfg, model)
-    theta = seed = _guarded_start(ws, start)
-    warm, warm_stop = 0, None
+    theta, warm, warm_stop, seeded = start, 0, None, None
     if isinstance(cfg.b_ea, WarmStartScaled):
-        theta, warm, end, warm_stop = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
+        theta, warm, end, warm_stop, seeded = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
         b_ea = cfg.b_ea.kappa * end.f_ea
     else:
         b_ea = float(cfg.b_ea.value)
-    theta, steps, final, stop = _descend(ws, cfg.iterations, b_ea, True, theta, on_step)
-    weights = ws.wts.copy()  # not a view: it would keep all five workspace maps alive
-    confidence = interpolate_confidence(weights, ws.warped)
-    return JointResult(theta, weights, confidence >= cfg.tau, confidence, iterations=steps,
+    theta, steps, final, stop, took = _descend(ws, cfg.iterations, b_ea, True, theta, on_step)
+    confidence = interpolate_confidence(ws.wts, ws.warped)
+    return JointResult(theta, ws.wts, confidence >= cfg.tau, confidence, iterations=steps,
                        final=final, b_ea=b_ea, b_ed=ws.b_ed, alpha=ws.alpha, stop_reason=stop,
-                       warm_iterations=warm, warm_stop_reason=warm_stop, seeded=seed is not None)
+                       warm_iterations=warm, warm_stop_reason=warm_stop,
+                       seeded=took if seeded is None else seeded)  # the first descent's

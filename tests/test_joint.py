@@ -1,6 +1,8 @@
 import dataclasses
+import fractions
 import math
 import resource
+import sys
 import tracemalloc
 import warnings
 
@@ -528,8 +530,8 @@ class TestStopRule:
         ws = joint._Workspace(window, cfg, "translation2d")
         _evaluate(window, res.theta, fresh, cfg, res.alpha, res.b_ea, res.b_ed, False, ws)
         assert np.abs(res.weights - ws.wts).max() <= 1e-9
-        # the solve's own end weights, copied out of its workspace
-        assert res.weights.tobytes() == made[0].wts.tobytes() and res.weights.flags.owndata
+        # the solve's own end weights: its workspace's map, allocated on its own
+        assert res.weights is made[0].wts and res.weights.flags.owndata
         sampled = interpolate_confidence(res.weights, warp(window, res.theta))
         assert res.confidence.tobytes() == sampled.tobytes()
 
@@ -597,6 +599,18 @@ class TestStart:
         assert not solved[0].seeded
         self._same(solved, _solve_steps(window, cfg))
 
+    def test_refused_seed_leaves_no_weight_guess(self):
+        # under an explicit b_ea the joint phase is the first: a refused seed
+        # is one exact weight solve, and its lam and mu must not become the
+        # guesses of the descent from zero motion
+        window = self._window()
+        cfg = JointConfig(b_ea=ExplicitBaseline(solve(window, JointConfig()).b_ea))  # 1.1 x warm f_ea
+        solved = _solve_steps(window, cfg, start=MotionParams.translation(40.0, 25.0))
+        unseeded = _solve_steps(window, cfg)
+        assert not solved[0].seeded
+        self._same(solved, unseeded)
+        assert solved[0].weights.tobytes() == unseeded[0].weights.tobytes()
+
     def test_seed_of_another_model_rejected(self):
         with pytest.raises(ValueError, match="rotation_inplane"):
             solve(self._window(), JointConfig(), start=MotionParams.rotation(0.1))
@@ -632,9 +646,10 @@ class TestStart:
             assert zero.f_ea == b_ed
 
     @pytest.mark.parametrize("start, seeded", [((-39.0, -24.0), True), ((40.0, 25.0), False)])
-    def test_guard_makes_one_evaluation(self, monkeypatch, start, seeded):
-        # a seeded solve evaluates f_ea at the seed alone, without gradients;
-        # with no descent steps the rest is one end evaluation per phase
+    def test_only_a_refused_seed_costs_an_evaluation(self, monkeypatch, start, seeded):
+        # the seed is the first phase's first point: taken, it is that
+        # phase's one evaluation (with no descent steps, each phase makes
+        # one); refused, zero motion is evaluated after it
         window, cfg = self._window(), JointConfig(iterations=0)
         calls = []
         real = joint._evaluate
@@ -649,7 +664,7 @@ class TestStart:
         calls.clear()
         start = MotionParams.translation(*start)
         assert solve(window, cfg, start=start).seeded == seeded
-        assert len(calls) == unseeded + 1 == 3
+        assert unseeded == 2 and len(calls) == unseeded + (not seeded)
         assert calls[0] == start.values.tobytes()
 
 
@@ -662,11 +677,10 @@ class TestPhases:
     def _chain(window, cfg, start=None):
         """solve's two descents called by hand."""
         ws = joint._Workspace(window, cfg, "translation2d")
-        theta = joint._guarded_start(ws, start)
-        theta, warm, end, warm_stop = _descend(ws, cfg.iterations // 2, 0.0, theta=theta)
+        theta, warm, end, warm_stop, _ = _descend(ws, cfg.iterations // 2, 0.0, theta=start)
         parts = []
-        theta, _, final, _ = _descend(ws, cfg.iterations, cfg.b_ea.kappa * end.f_ea, True, theta,
-                                      lambda it, p: parts.append(p))
+        theta, _, final, _, _ = _descend(ws, cfg.iterations, cfg.b_ea.kappa * end.f_ea, True,
+                                         theta, lambda it, p: parts.append(p))
         return theta, ws.wts.copy(), warm, warm_stop, parts + [final]
 
     @staticmethod
@@ -879,6 +893,27 @@ class TestExactWeights:
         assert w[30, 30] == 0.0
         assert np.abs(w - want).max() <= 1e-8 and lam == pytest.approx(want_lam, abs=1e-8)
 
+    def test_screen_threshold_drops_no_pixel_that_can_be_positive(self):
+        # m (2 beta m + 2 b) grows with m >= 0, so the screen is safe if the
+        # product, computed exactly, is at most alpha at the threshold itself
+        # (at the largest finite float where the threshold is inf): over b,
+        # alpha and beta from 1e-300 to 1e300, and 0
+        rng = np.random.default_rng(0)
+        F = fractions.Fraction
+        edges = [(b, a, be) for b in (0.0, 1e-300, 1.0, 1e300) for a in (0.0, 1e-300, 1.0, 1e300)
+                 for be in (0.0, 1e-300, 1.0, 1e300)]
+        drawn = [tuple(float(v) * (rng.random() > 0.1) for v in 10.0 ** rng.uniform(-300, 300, 3))
+                 for _ in range(3000)]
+        for b, alpha, beta in edges + drawn:
+            threshold = joint._screen_threshold(b, alpha, beta)
+            assert threshold >= 0.0
+            m = F(min(threshold, sys.float_info.max))
+            assert m * (2 * F(beta) * m + 2 * F(b)) <= F(alpha), (b, alpha, beta)
+        # and it screens: in range, a pixel 1e-8 above the threshold is kept
+        for b, alpha, beta in [(1e-4, 0.05, 1e-2), (3e-7, 2e-3, 0.0), (1e-9, 1.0, 1e-4)]:
+            m = F(joint._screen_threshold(b, alpha, beta) * (1 + 1e-8))
+            assert m * (2 * F(beta) * m + 2 * F(b)) > F(alpha)
+
     def test_solve_allocates_no_map(self):
         # A cold solve on a 256 x 256 map with 1% of its pixels free: the
         # traced peak, the screen's boolean pass and the free pixels' arrays,
@@ -1022,7 +1057,7 @@ def _rotation():
 WORK_LEDGER = {
     "criterion-2-cmax": (_criterion_2_cmax, 7, 8),
     "criterion-2-joint": (_criterion_2_joint, 13, 14),
-    "seeded-stream": (_seeded_stream, 30, 32),
+    "seeded-stream": (_seeded_stream, 29, 31),
     "rotation": (_rotation, 15, 16),
 }
 
@@ -1067,8 +1102,8 @@ class TestWorkspaceReuse:
             ws = joint._Workspace(window, JointConfig(), model)
             if b_ed is not None:
                 ws.b_ed = b_ed
-            theta, steps, end, _ = _descend(ws, self.ITERS, b_ea, joint_mode,
-                                            on_step=lambda it, p: trace.append(p))
+            theta, steps, end, _, _ = _descend(ws, self.ITERS, b_ea, joint_mode,
+                                               on_step=lambda it, p: trace.append(p))
             assert steps == len(trace)
             return theta, trace, end
 
@@ -1145,8 +1180,8 @@ def test_descend_end_is_evaluate_at_returned_point(model, joint_mode):
     window = TestWorkspaceReuse._window(150)
     cfg = JointConfig()
     ws = joint._Workspace(window, cfg, model)
-    start, _, _, _ = _descend(ws, 5, 0.0)
-    theta, steps, end, _ = _descend(ws, 7, 0.5, joint_mode, start)
+    start, *_ = _descend(ws, 5, 0.0)
+    theta, steps, end, _, _ = _descend(ws, 7, 0.5, joint_mode, start)
     assert steps <= 7 and theta.model == model
     warped, wts = ws.warped.copy(), ws.wts.copy()
     fresh = joint._Workspace(window, cfg, model)
@@ -1260,5 +1295,5 @@ def test_descent_memory_does_not_grow_with_iterations(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 32 << 10, f"{peaks[0] >> 10} KB, then {peaks[1] >> 10} KB"
-    assert [(steps, stop) for _, steps, _, stop in results] == [(100, "cap"), (1000, "cap")]
+    assert [(steps, stop) for _, steps, _, stop, _ in results] == [(100, "cap"), (1000, "cap")]
     assert results[1][0].values[0] * 0.1 == pytest.approx(1000.0)
